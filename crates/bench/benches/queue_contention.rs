@@ -50,7 +50,7 @@ fn owner_handoff(c: &mut Criterion) {
                         let stop = Arc::clone(&stop);
                         thread::spawn(move || {
                             while !stop.load(Ordering::Relaxed) {
-                                if queue.steal(8).is_empty() {
+                                if queue.steal_where(8, |_| true).is_empty() {
                                     thread::yield_now();
                                 }
                             }
@@ -104,7 +104,7 @@ fn producer_push(c: &mut Criterion) {
                     let stop = Arc::clone(&stop);
                     storm.push(thread::spawn(move || {
                         while !stop.load(Ordering::Relaxed) {
-                            if queue.steal(8).is_empty() {
+                            if queue.steal_where(8, |_| true).is_empty() {
                                 thread::yield_now();
                             }
                         }

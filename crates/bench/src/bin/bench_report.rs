@@ -11,7 +11,7 @@
 //! [`sdrad_bench::Report`] formatter, and emits one schema-versioned
 //! JSON artifact. Three metric classes:
 //!
-//! * **exact** — invariants (crash counts, containment, poll counts,
+//! * **exact** — invariants (crash counts, containment, idle wakeups,
 //!   precision). Any drift vs the committed baseline fails CI.
 //! * **guarded** — dimensionless performance ratios. A degradation
 //!   beyond 10 % vs the baseline fails CI; absolute timings are never
@@ -42,8 +42,8 @@ use sdrad_bench::{
 };
 use sdrad_nolock::{arena, CountingAlloc};
 use sdrad_runtime::{
-    ConnectionServer, IsolationMode, KvHandler, RebuildMode, Runtime, RuntimeConfig, RuntimeStats,
-    Scheduling, StealPolicy, TelemetryConfig,
+    ConnectionServer, IsolationMode, KvHandler, Runtime, RuntimeConfig, RuntimeStats,
+    TelemetryConfig,
 };
 use sdrad_telemetry::{EventKind, Json, LogicalClock, Recorder, Source, TraceRing};
 
@@ -173,45 +173,52 @@ fn scenario_isolation() -> Report {
     r
 }
 
-/// Connection-serving cell (the e17 kv hot path): event-driven server,
-/// closed-loop benign round trips over 8 connections — one request in
-/// flight per trip, so the worker-measured latency is the service path
-/// itself, not queue depth. Returns the closed books.
-fn conn_cell(telemetry: TelemetryConfig, requests: usize) -> RuntimeStats {
+/// Connection-serving cell (the e17 kv hot path): closed-loop benign
+/// round trips over 8 connections — one request in flight per trip, so
+/// the worker-measured latency is the service path itself, not queue
+/// depth — then a held-open idle window after `quiesce()`. Returns the
+/// closed books and the wakeups the runtime took across the idle
+/// window (zero: wakeups track events, never time).
+fn conn_cell(telemetry: TelemetryConfig, requests: usize) -> (RuntimeStats, u64) {
     const CONNS: usize = 8;
+    const IDLE: Duration = Duration::from_millis(20);
     let mut config = RuntimeConfig::new(4, IsolationMode::PerClientDomain);
-    config.scheduling = Scheduling::EventDriven;
     config.telemetry = telemetry;
     let server = ConnectionServer::start(config, |_| KvHandler::default());
     let mut clients: Vec<_> = (0..CONNS).map(|_| server.connect()).collect();
     for i in 0..requests {
         let c = i % CONNS;
         clients[c].write(&benign(i));
-        let _ = server.await_response(&mut clients[c], 1);
+        let _ = server.await_response(&mut clients[c]);
     }
-    server.shutdown()
+    assert!(server.quiesce(), "drain must settle");
+    let before = server.runtime().wakeups();
+    std::thread::sleep(IDLE);
+    let idle_wakeups = server.runtime().wakeups() - before;
+    (server.shutdown(), idle_wakeups)
 }
 
 /// E17-style hot path plus the flight-recorder cost contract: Off vs
 /// Enabled p99 on the identical workload, best of three runs each (the
-/// least host-noise-contaminated run per cell).
+/// least host-noise-contaminated run per cell). Idle wakeups are summed
+/// over every run of both cells.
 fn scenario_conn_and_overhead() -> Report {
     const REQUESTS: usize = 2_000;
-    let best = |telemetry: TelemetryConfig| -> (RuntimeStats, Duration) {
-        (0..3)
-            .map(|_| {
-                let stats = conn_cell(telemetry, REQUESTS);
-                let p99 = stats.ok_latency().p99();
-                (stats, p99)
-            })
-            .min_by_key(|(_, p99)| *p99)
-            .expect("three runs")
+    let best = |telemetry: TelemetryConfig| -> (RuntimeStats, Duration, u64) {
+        let runs: Vec<(RuntimeStats, u64)> =
+            (0..3).map(|_| conn_cell(telemetry, REQUESTS)).collect();
+        let idle_wakeups = runs.iter().map(|(_, idle)| idle).sum();
+        let (stats, _) = runs
+            .into_iter()
+            .min_by_key(|(stats, _)| stats.ok_latency().p99())
+            .expect("three runs");
+        let p99 = stats.ok_latency().p99();
+        (stats, p99, idle_wakeups)
     };
-    let (off, off_p99) = best(TelemetryConfig::Off);
-    let (on, on_p99) = best(TelemetryConfig::enabled());
+    let (off, off_p99, off_idle) = best(TelemetryConfig::Off);
+    let (on, on_p99, on_idle) = best(TelemetryConfig::enabled());
 
     assert!(off.reconciles() && on.reconciles());
-    assert_eq!(off.polls(), 0, "event-driven serving must never poll");
     assert!(
         off.telemetry.is_none(),
         "TelemetryConfig::Off must leave no trace apparatus behind"
@@ -254,21 +261,27 @@ fn scenario_conn_and_overhead() -> Report {
         format!(
             "{REQUESTS} closed-loop round trips over 8 conns, 4 workers, best of 3 runs per cell"
         ),
-        &["recorder", "conn-served", "ok p99", "polls", "trace events"],
+        &[
+            "recorder",
+            "conn-served",
+            "ok p99",
+            "idle wakeups",
+            "trace events",
+        ],
     );
-    for (label, stats, p99, traced) in [
-        ("off", &off, off_p99, 0),
-        ("enabled", &on, on_p99, on_report.log.len()),
+    for (label, stats, p99, idle, traced) in [
+        ("off", &off, off_p99, off_idle, 0),
+        ("enabled", &on, on_p99, on_idle, on_report.log.len()),
     ] {
         r.row(&[
             label.into(),
             stats.conn_served().to_string(),
             format!("{:.1}us", p99.as_nanos() as f64 / 1e3),
-            stats.polls().to_string(),
+            idle.to_string(),
             traced.to_string(),
         ]);
     }
-    r.exact("polls_event", off.polls() as f64, "count")
+    r.exact("idle_wakeups", (off_idle + on_idle) as f64, "count")
         .exact("crashes", (off.crashes() + on.crashes()) as f64, "count")
         .info("p99_ns", off_p99.as_nanos() as f64, "ns");
     // Telemetry contract metrics live under their own id prefix.
@@ -303,8 +316,7 @@ fn scenario_conn_and_overhead() -> Report {
 fn scenario_stealing() -> Report {
     const BURST: usize = 4_000;
     let mut config = RuntimeConfig::new(4, IsolationMode::PerClientDomain);
-    config.scheduling = Scheduling::EventDriven;
-    config.work_stealing = StealPolicy::Queue;
+    config.work_stealing = true;
     config.batch = 16;
     let runtime = Runtime::start(config, |_| KvHandler::default());
     // Warm every worker up (domain-pool setup is serialized) so thieves
@@ -334,9 +346,9 @@ fn scenario_stealing() -> Report {
     assert_eq!(stats.thief_mutations(), 0, "thieves never mutate");
 
     let steal_share = stats.steals() as f64 / stats.served().max(1) as f64;
-    let mut r = Report::new("e18", "hot-shard burst spread by queue stealing");
+    let mut r = Report::new("e18", "hot-shard burst spread by work stealing");
     r.begin_table(
-        format!("{BURST} paced submits, all to shard 0; 3 idle siblings, StealPolicy::Queue"),
+        format!("{BURST} paced submits, all to shard 0; 3 idle siblings, stealing on"),
         &["served", "steals", "steal share", "thief mutations"],
     );
     r.row(&[
@@ -476,8 +488,7 @@ fn lockfree_cell(workers: usize) -> (RuntimeStats, Duration, Duration) {
     const BURST: usize = 2_000;
     const PROBES: usize = 256;
     let mut config = RuntimeConfig::new(workers, IsolationMode::PerClientDomain);
-    config.scheduling = Scheduling::EventDriven;
-    config.work_stealing = StealPolicy::Deep;
+    config.work_stealing = true;
     config.batch = 16;
     config.queue_capacity = BURST.max(4096);
     let runtime = Runtime::start(config, |_| KvHandler::default());
@@ -521,7 +532,6 @@ fn lockfree_cell(workers: usize) -> (RuntimeStats, Duration, Duration) {
     let stats = runtime.shutdown();
     assert!(stats.reconciles());
     assert_eq!(stats.thief_mutations(), 0);
-    assert_eq!(stats.polls(), 0);
     (stats, submit.p99(), rtt.p99())
 }
 
@@ -628,9 +638,10 @@ fn scenario_lockfree() -> Report {
 }
 
 /// E22-style: allocation discipline on the e17 closed-loop hot path.
-/// One cell per `frame_pooling` setting — the code path is identical;
-/// the config bit only decides whether `FrameBuf::acquire` recycles
-/// worker-local storage or falls through to a fresh heap allocation.
+/// Two arms — the code path is identical; the unpooled arm's handler
+/// factory turns its worker thread's arena off (it runs after the
+/// runtime armed it), so `FrameBuf::acquire` falls through to a fresh
+/// heap allocation instead of recycling worker-local storage.
 /// Workers opt into the counting allocator from their handler factory,
 /// so allocs-per-request charges the serving path, not the load
 /// generator; counting spans only the post-warm-up window (domain-pool
@@ -647,13 +658,12 @@ fn scenario_alloc_discipline() -> Report {
     const P99_BAND: f64 = 2.0;
 
     let cell = |pooling: bool| -> (RuntimeStats, u64) {
-        let mut config = RuntimeConfig::new(4, IsolationMode::PerClientDomain);
-        config.scheduling = Scheduling::EventDriven;
-        config.frame_pooling = pooling;
-        let server = ConnectionServer::start(config, |_| {
+        let config = RuntimeConfig::new(4, IsolationMode::PerClientDomain);
+        let server = ConnectionServer::start(config, move |_| {
             // Runs on the worker's own thread: its allocations are
             // counted from here on.
             arena::count_allocs_on_this_thread(true);
+            arena::set_thread_pooling(pooling);
             KvHandler::default()
         });
         let mut clients: Vec<_> = (0..CONNS).map(|_| server.connect()).collect();
@@ -661,7 +671,7 @@ fn scenario_alloc_discipline() -> Report {
             for i in from..from + count {
                 let c = i % CONNS;
                 clients[c].write(&benign(i));
-                let _ = server.await_response(&mut clients[c], 1);
+                let _ = server.await_response(&mut clients[c]);
             }
         };
         drive(0, WARMUP);
@@ -750,14 +760,12 @@ fn scenario_alloc_discipline() -> Report {
 }
 
 /// E23-style: the zero-pause rebuild contract. A ladder-driven rebuild
-/// storm runs on the benign probe's own shard under the deferred
-/// (publish-and-retire) and synchronous (stop-the-world) lifecycles;
-/// the storm-over-steady p99 ratio is the trajectory metric. Both
-/// sides of the ratio are floored at one modeled pause quantum
-/// (`rebuild::TAIL_FLOOR`) and the guarded value is clamped at the 1.1
-/// acceptance band — anything inside the band collapses to the band
-/// edge, so the guard fires only when the deferred path actually grows
-/// a pause past the quantum the synchronous rung cannot get under.
+/// storm runs on the benign probe's own shard; the storm-over-steady
+/// p99 ratio is the trajectory metric. Both sides of the ratio are
+/// floored at one modeled pause quantum (`rebuild::TAIL_FLOOR`) and the
+/// guarded value is clamped at the 1.1 acceptance band — anything
+/// inside the band collapses to the band edge, so the guard fires only
+/// when the rebuild path actually grows a pause past one quantum.
 /// The reclamation conservation law is exact: every
 /// cell must close `retired == reclaimed + pending` with pending
 /// drained to zero and the shared-view hazard domain conserving.
@@ -767,54 +775,41 @@ fn scenario_zero_pause() -> Report {
     /// The acceptance band on the deferred storm ratio: within it, the
     /// rebuild rung is invisible to the benign tail.
     const BAND: f64 = 1.1;
-    let deferred = rebuild::best_cell(RebuildMode::Deferred, RUNS, PROBES);
-    let synchronous = rebuild::best_cell(RebuildMode::Synchronous, RUNS, PROBES);
-    let conserves = deferred.reclaim_conserves() && synchronous.reclaim_conserves();
-    let deferred_ratio = deferred.storm_ratio().max(BAND);
-    let sync_ratio = synchronous.storm_ratio();
-    assert!(
-        synchronous.storm_p99 >= rebuild::TAIL_FLOOR && synchronous.storm_p99 > deferred.storm_p99,
-        "the synchronous pause must show in the storm tail: sync {:?} vs deferred {:?}",
-        synchronous.storm_p99,
-        deferred.storm_p99
-    );
+    let cell = rebuild::best_cell(RUNS, PROBES);
+    let ratio = cell.storm_ratio().max(BAND);
 
     let mut r = Report::new("e23", "zero-pause pool rebuilds (trajectory cut)");
     r.begin_table(
         format!(
             "{PROBES} closed-loop probes per phase, a pool rebuild every 3rd storm probe, \
-             best of {RUNS} runs per cell"
+             best of {RUNS} runs"
         ),
-        &["rebuild", "steady p99", "storm p99", "ratio", "rebuilds"],
+        &["steady p99", "storm p99", "ratio", "rebuilds"],
     );
-    for (label, cell) in [("deferred", &deferred), ("synchronous", &synchronous)] {
-        r.row(&[
-            label.into(),
-            format!("{:.1}us", cell.steady_p99.as_nanos() as f64 / 1e3),
-            format!("{:.1}us", cell.storm_p99.as_nanos() as f64 / 1e3),
-            format!("{:.2}x", cell.storm_ratio()),
-            cell.stats.pool_rebuilds().to_string(),
-        ]);
-    }
-    r.exact("reclaim_conserves", f64::from(u8::from(conserves)), "bool")
-        .exact(
-            "crashes",
-            (deferred.stats.crashes() + synchronous.stats.crashes()) as f64,
-            "count",
-        )
-        .exact(
-            "thief_mutations",
-            (deferred.stats.thief_mutations() + synchronous.stats.thief_mutations()) as f64,
-            "count",
-        )
-        .guarded("rebuild_p99_ratio", deferred_ratio, "ratio", false)
-        .info("sync_p99_ratio", sync_ratio, "ratio")
-        .info("storm_p99_ns", deferred.storm_p99.as_nanos() as f64, "ns")
-        .note(format!(
-            "deferred storm p99 {:.2}x steady (band-clamped to {deferred_ratio:.2}) vs \
-             {sync_ratio:.2}x on the stop-the-world path; reclamation books reconciled exactly",
-            deferred.storm_ratio()
-        ));
+    r.row(&[
+        format!("{:.1}us", cell.steady_p99.as_nanos() as f64 / 1e3),
+        format!("{:.1}us", cell.storm_p99.as_nanos() as f64 / 1e3),
+        format!("{:.2}x", cell.storm_ratio()),
+        cell.stats.pool_rebuilds().to_string(),
+    ]);
+    r.exact(
+        "reclaim_conserves",
+        f64::from(u8::from(cell.reclaim_conserves())),
+        "bool",
+    )
+    .exact("crashes", cell.stats.crashes() as f64, "count")
+    .exact(
+        "thief_mutations",
+        cell.stats.thief_mutations() as f64,
+        "count",
+    )
+    .guarded("rebuild_p99_ratio", ratio, "ratio", false)
+    .info("storm_p99_ns", cell.storm_p99.as_nanos() as f64, "ns")
+    .note(format!(
+        "storm p99 {:.2}x steady (band-clamped to {ratio:.2}); reclamation books reconciled \
+         exactly",
+        cell.storm_ratio()
+    ));
     r
 }
 

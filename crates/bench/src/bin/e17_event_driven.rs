@@ -1,60 +1,47 @@
-//! E17 — readiness-driven vs poll-driven scheduling: the scheduler
-//! itself as an object of the paper's environmental analysis.
+//! E17 — readiness-driven scheduling: the scheduler itself as an
+//! object of the paper's environmental analysis.
 //!
 //! The paper judges resilience mechanisms by their energy footprint;
-//! this experiment applies the same lens to the serving loop. Both
-//! cells run the identical e16-style kvstore mix — connections,
+//! this experiment applies the same lens to the serving loop. The cell
+//! runs an e16-style kvstore mix — connections,
 //! `FaultSchedule`-scheduled attacks, a hot-shard overload burst that
-//! engages work stealing — then sit through the same idle window.
+//! engages work stealing — then sits through an idle window with every
+//! connection held open. Workers park on per-shard wake sets and are
+//! woken by endpoint readiness callbacks, so an idle runtime burns no
+//! CPU: across the idle window after `quiesce()` the runtime takes
+//! **zero** wakeups.
 //!
-//! * **polling**: workers that own connections re-poll them every
-//!   200 µs; each empty pass is counted ([`WorkerStats::polls`]) — CPU
-//!   burnt serving nobody.
-//! * **event**: workers park on per-shard wake sets and are woken by
-//!   endpoint readiness callbacks; an idle runtime performs **zero**
-//!   polls by construction.
-//!
-//! Reported per cell: throughput, client-observed round-trip
-//! percentiles (probes against a quiet server — the regime where the
-//! scheduler, not queueing, dominates), wakeups/parks/polls, steal
-//! counts, and the modeled fleet energy the empty polls cost. Hard
-//! assertions encode the regression guard CI relies on: the
-//! event-driven run must report **zero** polls and no more total
-//! wakeups than the polling run reports polls, and its probe p99 must
-//! not be worse.
-//!
-//! [`WorkerStats::polls`]: sdrad_runtime::WorkerStats::polls
+//! Reported: throughput, client-observed round-trip percentiles (probes
+//! against a quiet server — the regime where the scheduler, not
+//! queueing, dominates), wakeups/parks, idle-window wakeups and steal
+//! counts. Hard assertions encode the regression guard CI relies on:
+//! zero idle-window wakeups, reconciled books, contained attacks.
 
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use sdrad::ClientId;
-use sdrad_bench::{attack_rate_per_year, attack_slots, banner, measure, Report};
-use sdrad_energy::power::PowerModel;
+use sdrad_bench::{attack_rate_per_year, attack_slots, banner, Report};
 use sdrad_faultsim::FaultSchedule;
 use sdrad_net::Endpoint;
 use sdrad_runtime::{
     ConnectionServer, IsolationMode, KvHandler, LatencyHistogram, RuntimeConfig, RuntimeStats,
-    Scheduling, StealPolicy,
 };
 
 /// One simulated hour of traffic per cell.
 const HORIZON_SECONDS: f64 = 3600.0;
-/// Base seed; both cells use the same plan.
+/// Base seed of the attack plan.
 const SEED: u64 = 0x5D12_AD17;
 /// Client connections per cell.
 const CONNS: usize = 16;
 /// Workers (= shards) per cell.
 const WORKERS: usize = 4;
-/// Idle window both cells sit through after serving (the polling
-/// scheduler keeps ticking; the event-driven one parks).
+/// Idle window the cell sits through after serving, connections open.
 const IDLE: Duration = Duration::from_millis(400);
-/// Round-trip probes against the quiet server, per cell.
+/// Round-trip probes against the quiet server.
 const PROBES: usize = 200;
-/// Fleet size for the energy projection.
-const FLEET_SERVERS: f64 = 1000.0;
 
-/// Requests per cell (override with `SDRAD_E17_REQUESTS`).
+/// Requests per run (override with `SDRAD_E17_REQUESTS`).
 fn requests_per_cell() -> u64 {
     std::env::var("SDRAD_E17_REQUESTS")
         .ok()
@@ -105,23 +92,22 @@ fn benign(i: usize) -> Vec<u8> {
 struct Cell {
     stats: RuntimeStats,
     rtt: LatencyHistogram,
-    wall: Duration,
+    /// Wakeups the runtime took across the idle window.
+    idle_wakeups: u64,
 }
 
-/// Drives one cell: the scheduled mix over connections, a hot-shard
+/// Drives the cell: the scheduled mix over connections, a hot-shard
 /// burst through the submit queues (steal bait), round-trip probes
-/// against the then-quiet server, and the shared idle window.
-fn run_cell(scheduling: Scheduling) -> Cell {
+/// against the then-quiet server, and the idle window.
+fn run_cell() -> Cell {
     let requests = requests_per_cell();
     let rate = attack_rate_per_year(100, requests, HORIZON_SECONDS); // 1%
     let plan = attack_slots(&FaultSchedule::new(rate, SEED), HORIZON_SECONDS, requests);
 
     let mut config = RuntimeConfig::new(WORKERS, IsolationMode::PerClientDomain);
-    config.scheduling = scheduling;
-    config.work_stealing = StealPolicy::Queue;
+    config.work_stealing = true;
     config.batch = 16;
     let server = ConnectionServer::start(config, |_| KvHandler::default());
-    let started = Instant::now();
 
     // Warm-up: one served round trip per shard, so every worker has
     // finished its (serialized) domain-manager setup and is parked
@@ -142,11 +128,8 @@ fn run_cell(scheduling: Scheduling) -> Cell {
 
     // Hot-shard burst, while the sibling workers are idle: every
     // request targets one shard, so the siblings' only way to help is
-    // stealing pre-framed queue items. Event-driven siblings are rung
-    // awake by the queue's steal bells; polling siblings have no
-    // cross-shard wake channel (their queues are silent) and sleep
-    // through the skew until their own poll ticks — exactly the gap
-    // the steal-rate column exposes.
+    // stealing pre-framed queue items. The queue's steal bells ring
+    // them awake.
     let hot = (10_000_000u64..)
         .map(ClientId)
         .find(|c| runtime.shard_of(*c) == 0)
@@ -171,10 +154,9 @@ fn run_cell(scheduling: Scheduling) -> Cell {
     }
 
     // Round-trip probes against a quiet server: write one request, park
-    // on the client's own readiness callback, measure arrival. Under
-    // polling the response waits for the worker's next 200 µs tick;
-    // under readiness scheduling the worker wakes with the write.
-    let _ = server.await_response(&mut clients[0], 0); // settle the burst
+    // on the client's own readiness callback, measure arrival. The
+    // worker wakes with the write.
+    let _ = server.await_response(&mut clients[0]); // settle the burst
     let mut probe = server.connect();
     let gate = Arc::new(Gate::default());
     gate.arm(&mut probe);
@@ -191,26 +173,20 @@ fn run_cell(scheduling: Scheduling) -> Cell {
         rtt.record_duration(sent.elapsed());
     }
 
-    // The idle window: connections stay open, nobody writes. This is
-    // where the two schedulers' energy bills diverge.
+    // The idle window: connections stay open, nobody writes. A poll
+    // loop would tick thousands of times here; readiness scheduling
+    // never wakes.
+    assert!(server.quiesce(), "the probes must settle");
+    let before = server.runtime().wakeups();
     std::thread::sleep(IDLE);
+    let idle_wakeups = server.runtime().wakeups() - before;
 
     let stats = server.shutdown();
     Cell {
         stats,
         rtt,
-        wall: started.elapsed(),
+        idle_wakeups,
     }
-}
-
-/// Measures the CPU cost of one empty connection poll (reading an idle
-/// endpoint) — a deliberate *lower bound*: it excludes the timed
-/// condvar wakeup and scheduler switch each tick also pays.
-fn empty_poll_cost() -> Duration {
-    let (_writer, mut reader) = sdrad_net::duplex();
-    measure(10_000, || {
-        std::hint::black_box(reader.read_available());
-    })
 }
 
 fn fmt_us(d: Duration) -> String {
@@ -220,15 +196,14 @@ fn fmt_us(d: Duration) -> String {
 fn main() {
     banner(
         "E17",
-        "readiness-driven vs poll-driven scheduling under the e16 kvstore mix",
+        "readiness-driven scheduling under the e16 kvstore mix",
         "resilience mechanisms should be judged by their energy footprint — so should \
          the serving loop that hosts them",
     );
 
-    let polling = run_cell(Scheduling::Polling);
-    let event = run_cell(Scheduling::EventDriven);
+    let cell = run_cell();
 
-    let mut report = Report::new("e17", "readiness-driven vs poll-driven scheduling");
+    let mut report = Report::new("e17", "readiness-driven scheduling");
     report.begin_table(
         format!(
             "{} requests + {} hot-shard submits, {CONNS} conns, {WORKERS} workers, \
@@ -238,103 +213,55 @@ fn main() {
             IDLE.as_millis()
         ),
         &[
-            "scheduler",
             "req/s",
             "rtt p50",
             "rtt p99",
             "wakeups",
             "parks",
-            "polls",
+            "idle wakeups",
             "steals",
             "contained",
             "shed",
             "rec",
         ],
     );
-    for (label, cell) in [("polling", &polling), ("event", &event)] {
-        report.row(&[
-            label.into(),
-            format!("{:.0}", cell.stats.throughput_rps()),
-            fmt_us(cell.rtt.p50()),
-            fmt_us(cell.rtt.p99()),
-            cell.stats.wakeups().to_string(),
-            cell.stats.parks().to_string(),
-            cell.stats.polls().to_string(),
-            cell.stats.steals().to_string(),
-            cell.stats.contained_faults().to_string(),
-            cell.stats.shed.to_string(),
-            if cell.stats.reconciles() { "yes" } else { "NO" }.into(),
-        ]);
-    }
+    report.row(&[
+        format!("{:.0}", cell.stats.throughput_rps()),
+        fmt_us(cell.rtt.p50()),
+        fmt_us(cell.rtt.p99()),
+        cell.stats.wakeups().to_string(),
+        cell.stats.parks().to_string(),
+        cell.idle_wakeups.to_string(),
+        cell.stats.steals().to_string(),
+        cell.stats.contained_faults().to_string(),
+        cell.stats.shed.to_string(),
+        if cell.stats.reconciles() { "yes" } else { "NO" }.into(),
+    ]);
 
     // --- the regression guards CI smokes ---------------------------------
-    assert!(polling.stats.reconciles() && event.stats.reconciles());
+    assert!(cell.stats.reconciles());
     assert_eq!(
-        event.stats.polls(),
-        0,
-        "readiness scheduling must never poll an idle connection"
+        cell.idle_wakeups, 0,
+        "readiness scheduling must never wake for an idle connection"
     );
+    assert_eq!(cell.stats.crashes(), 0);
     assert!(
-        event.stats.wakeups() <= polling.stats.polls(),
-        "regression guard: event-driven wakeups ({}) exceeded the polling \
-         baseline's empty polls ({}) — the scheduler is busy-waking",
-        event.stats.wakeups(),
-        polling.stats.polls()
-    );
-    assert!(
-        event.rtt.p99() <= polling.rtt.p99(),
-        "readiness scheduling must not be slower at the tail: event p99 {:?} \
-         vs polling p99 {:?}",
-        event.rtt.p99(),
-        polling.rtt.p99()
-    );
-    assert_eq!(event.stats.crashes(), 0);
-    assert!(
-        event.stats.contained_faults() > 0,
+        cell.stats.contained_faults() > 0,
         "the schedule must fire attacks"
     );
 
-    // --- spurious polls avoided and what they cost -----------------------
-    let avoided = polling.stats.polls();
-    let per_poll = empty_poll_cost();
-    let poll_cpu = per_poll.as_secs_f64() * avoided as f64;
-    // Utilization the polls held across the cell's workers, projected
-    // onto the linear server power model (a lower bound: the timed
-    // condvar wake and context switch per tick are not charged).
-    let utilization = poll_cpu / (WORKERS as f64 * polling.wall.as_secs_f64());
-    let model = PowerModel::rack_server();
-    let kwh_per_server = model.annual_kwh(utilization) - model.annual_kwh(0.0);
-    let fleet_kwh = kwh_per_server * FLEET_SERVERS;
     report.note(format!(
-        "spurious polls avoided: {avoided} (polling burned {:.2} ms of CPU at \
-         {:?}/poll; event-driven performed {} wakeups, parks {} times, zero polls)",
-        poll_cpu * 1_000.0,
-        per_poll,
-        event.stats.wakeups(),
-        event.stats.parks(),
+        "steal rate: {} stolen requests off the hot shard (queues and thieves reconcile: {})",
+        cell.stats.steals(),
+        cell.stats.stolen_submits,
     ));
     report.note(format!(
-        "steal rate: polling {} / event {} stolen requests off the hot shard \
-         (queues and thieves reconcile on both: {} / {})",
-        polling.stats.steals(),
-        event.stats.steals(),
-        polling.stats.stolen_submits,
-        event.stats.stolen_submits,
-    ));
-    report.note(format!(
-        "fleet energy delta (lower bound): idle-poll utilization {:.5} ⇒ \
-         {kwh_per_server:.1} kWh/yr/server ⇒ {fleet_kwh:.0} kWh/yr across {FLEET_SERVERS:.0} \
-         servers — spent serving nobody; readiness scheduling spends 0",
-        utilization,
-    ));
-    report.note(format!(
-        "conclusion: identical mix, identical containment ({} vs {} faults), but the \
-         event-driven scheduler answered probes at p99 {} vs {} and performed zero idle \
-         polls where the baseline performed {avoided}.",
-        event.stats.contained_faults(),
-        polling.stats.contained_faults(),
-        fmt_us(event.rtt.p99()),
-        fmt_us(polling.rtt.p99()),
+        "conclusion: {} contained faults, probes answered at p99 {}, and {} wakeups across \
+         a {}ms idle window with every connection open — an idle runtime spends nothing.",
+        cell.stats.contained_faults(),
+        fmt_us(cell.rtt.p99()),
+        cell.idle_wakeups,
+        IDLE.as_millis(),
     ));
     report.print();
 }

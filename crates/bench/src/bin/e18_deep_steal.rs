@@ -1,42 +1,43 @@
-//! E18 — connection-buffer work stealing vs queue-only stealing under a
-//! skewed (hot-shard) mix: stranded capacity as an energy problem.
+//! E18 — connection-buffer work stealing under a skewed (hot-shard)
+//! mix: stranded capacity as an energy problem.
 //!
 //! The paper's energy argument assumes the serving substrate wastes no
-//! capacity. E17 removed idle polling; this experiment removes the last
-//! stranding: under a **skewed** load — every connection hashed to one
-//! hot shard — queue-only stealing leaves framing-complete requests
-//! sitting in the hot shard's connection buffers while three siblings
-//! park, fully provisioned and fully idle.
+//! capacity. E17 showed an idle runtime spends nothing; this experiment
+//! removes the last stranding: under a **skewed** load — every
+//! connection hashed to one hot shard — a runtime without stealing
+//! leaves framing-complete requests sitting in the hot shard's
+//! connection buffers while three siblings park, fully provisioned and
+//! fully idle.
 //!
 //! Both cells run the identical e16-style kvstore mix (pipelined
 //! gets/sets plus `FaultSchedule`-scheduled `xstat` attacks) over
 //! connections pinned to shard 0, plus a hot-shard queue burst of
 //! mutations as steal bait:
 //!
-//! * **queue** ([`StealPolicy::Queue`]): thieves reach queues only.
-//!   Connection frames drain at one worker's pace; every budget
-//!   deferral with a parked sibling is a **stranded-request stall** —
-//!   and the queue mutations the thieves do steal execute against the
-//!   *wrong shard's state* ([`WorkerStats::thief_mutations`]).
-//! * **deep** ([`StealPolicy::Deep`]): thieves also lift
-//!   framing-complete requests off the hot shard's connection buffers —
-//!   read-only frames execute on the thief, **mutations are routed back
-//!   to the owner** (state confinement, cf. the owner-domain routing of
-//!   "Unlimited Lives"), responses stay in frame order.
+//! * **off**: connection frames drain at one worker's pace; every
+//!   budget deferral with a parked sibling is a **stranded-request
+//!   stall** (the stall witness is wired whether or not stealing is
+//!   on).
+//! * **on** ([`RuntimeConfig::work_stealing`]): thieves take read-only
+//!   queue items and lift framing-complete requests off the hot shard's
+//!   connection buffers — read-only frames execute on the thief,
+//!   **mutations are routed back to the owner** (state confinement, cf.
+//!   the owner-domain routing of "Unlimited Lives"), responses stay in
+//!   frame order, and the queue mutations stay on their owner.
 //!
 //! Reported per cell: steal depth (queue items + connection frames),
 //! owner-routed mutation rate, stranded stalls, thief-mutated-state
-//! count, drain wall clock, client-observed RTT percentiles (probed
+//! count ([`WorkerStats::thief_mutations`], the state-confinement
+//! detector), drain wall clock, client-observed RTT percentiles (probed
 //! against the drained server, e17-style — the steady-state regression
-//! guard for the deep machinery), and the modeled fleet energy delta of
-//! absorbing the same skew with stranded vs recruited capacity. Hard
-//! assertions encode the acceptance criteria: deep stealing must show
-//! **zero** polls, zero double-processing (exact conservation +
-//! reconciliation), zero thief-mutated state, strictly fewer stranded
-//! stalls and a p99 RTT no worse than queue-only stealing.
+//! guard for the stealing machinery), and the modeled fleet energy
+//! delta of absorbing the same skew with stranded vs recruited
+//! capacity. Hard assertions encode the acceptance criteria: zero
+//! double-processing (exact conservation + reconciliation), zero
+//! thief-mutated state, strictly fewer stranded stalls with stealing on
+//! and a p99 RTT no worse than with stealing off.
 //!
-//! [`StealPolicy::Queue`]: sdrad_runtime::StealPolicy::Queue
-//! [`StealPolicy::Deep`]: sdrad_runtime::StealPolicy::Deep
+//! [`RuntimeConfig::work_stealing`]: sdrad_runtime::RuntimeConfig::work_stealing
 //! [`WorkerStats::thief_mutations`]: sdrad_runtime::WorkerStats::thief_mutations
 
 use std::sync::{Arc, Condvar, Mutex};
@@ -48,8 +49,7 @@ use sdrad_energy::power::PowerModel;
 use sdrad_faultsim::FaultSchedule;
 use sdrad_net::{duplex, Endpoint};
 use sdrad_runtime::{
-    IsolationMode, KvHandler, LatencyHistogram, Runtime, RuntimeConfig, RuntimeStats, StealPolicy,
-    SubmitOutcome,
+    IsolationMode, KvHandler, LatencyHistogram, Runtime, RuntimeConfig, RuntimeStats, SubmitOutcome,
 };
 
 /// One simulated hour of traffic per cell.
@@ -65,7 +65,7 @@ const WORKERS: usize = 4;
 /// host-scheduler hiccup.
 const PROBES: usize = 256;
 /// Per-connection read budget: small enough that the hot worker defers
-/// frames every rotation — the stranding the deep policy rescues.
+/// frames every rotation — the stranding stealing rescues.
 const BUDGET: usize = 8;
 /// Fleet size for the energy projection.
 const FLEET_SERVERS: f64 = 1000.0;
@@ -127,7 +127,7 @@ struct Cell {
 /// Drives one cell: warm every shard, bait the hot queue with
 /// mutations, pipeline the skewed connection mix, drain it through the
 /// generation barrier, then probe steady-state RTT.
-fn run_cell(policy: StealPolicy) -> Cell {
+fn run_cell(work_stealing: bool) -> Cell {
     let frames_total = requests_per_cell();
     let queue_burst = frames_total / 4;
     let rate = attack_rate_per_year(100, frames_total, HORIZON_SECONDS); // 1%
@@ -138,7 +138,7 @@ fn run_cell(policy: StealPolicy) -> Cell {
     );
 
     let mut config = RuntimeConfig::new(WORKERS, IsolationMode::PerClientDomain);
-    config.work_stealing = policy;
+    config.work_stealing = work_stealing;
     config.conn_read_budget = BUDGET;
     config.batch = 16;
     config.queue_capacity = usize::try_from(frames_total).unwrap_or(4096).max(4096);
@@ -174,11 +174,9 @@ fn run_cell(policy: StealPolicy) -> Cell {
     let gate = Arc::new(Gate::default());
     gate.arm(&mut probe);
 
-    // Hot-shard queue burst of *mutations*: steal bait both policies
-    // can reach. Queue-only thieves execute these against their own
-    // shard's store — the divergence hazard the table's `thief-mut`
-    // column prices; the deep policy's classified steal leaves them on
-    // their owner, where the state they touch lives.
+    // Hot-shard queue burst of *mutations*: steal bait the classified
+    // steal must leave on their owner, where the state they touch lives
+    // — the table's `thief-mut` column is the detector.
     let burst_written = Instant::now();
     let hot = hot_clients(&runtime, 1)[0];
     for _ in 0..queue_burst {
@@ -191,7 +189,7 @@ fn run_cell(policy: StealPolicy) -> Cell {
     // The skewed connection mix: every connection is pinned to shard 0
     // and pipelines its share of the e16-style plan in one write — the
     // arrival spike that strands frames behind the hot worker's budget
-    // rotations while (under queue-only stealing) three siblings park.
+    // rotations while (without stealing) three siblings park.
     let mut conns: Vec<Endpoint> = Vec::new();
     let mut conn_frames = 0u64;
     {
@@ -223,10 +221,10 @@ fn run_cell(policy: StealPolicy) -> Cell {
     let drain = burst_written.elapsed();
 
     // RTT probes against the now-quiet server (e17's methodology): the
-    // steady-state regression guard. The deep policy's machinery —
-    // shared trays, gates, registries — sits on the hot path of every
-    // pumped frame, so its tail must price out no worse than the
-    // queue-only scheduler's. (Probing *into* the live backlog instead
+    // steady-state regression guard. The stealing machinery — shared
+    // trays, gates, registries — sits on the hot path of every pumped
+    // frame, so its tail must price out no worse than the runtime
+    // without it. (Probing *into* the live backlog instead
     // would measure the host scheduler's timeslicing on small hosts: on
     // a single-core runner there is no idle sibling capacity to
     // recruit, and every extra runnable thief merely preempts the
@@ -270,8 +268,8 @@ fn main() {
          back must not let state mutate off its owner shard",
     );
 
-    let queue = run_cell(StealPolicy::Queue);
-    let deep = run_cell(StealPolicy::Deep);
+    let off = run_cell(false);
+    let on = run_cell(true);
 
     let mut report = Report::new(
         "e18",
@@ -285,7 +283,7 @@ fn main() {
             requests_per_cell() / 4,
         ),
         &[
-            "policy",
+            "stealing",
             "drain",
             "rtt p50",
             "rtt p99",
@@ -298,7 +296,7 @@ fn main() {
             "rec",
         ],
     );
-    for (label, cell) in [("queue", &queue), ("deep", &deep)] {
+    for (label, cell) in [("off", &off), ("on", &on)] {
         report.row(&[
             label.into(),
             format!("{:.1}ms", cell.drain.as_secs_f64() * 1_000.0),
@@ -315,7 +313,7 @@ fn main() {
     }
 
     // --- the acceptance criteria CI smokes -------------------------------
-    for (label, cell) in [("queue", &queue), ("deep", &deep)] {
+    for (label, cell) in [("off", &off), ("on", &on)] {
         assert!(cell.stats.reconciles(), "{label} books must balance");
         assert_eq!(
             cell.stats.served() + cell.stats.shed,
@@ -323,11 +321,6 @@ fn main() {
             "{label}: zero lost, zero double-processed — conservation is exact"
         );
         assert_eq!(cell.stats.shed, 0, "{label}: nothing sheds at this depth");
-        assert_eq!(
-            cell.stats.polls(),
-            0,
-            "{label}: event-driven cells never poll"
-        );
         assert_eq!(cell.stats.crashes(), 0);
         assert!(
             cell.stats.contained_faults() > 0,
@@ -335,83 +328,79 @@ fn main() {
         );
     }
     assert_eq!(
-        deep.stats.thief_mutations(),
+        on.stats.thief_mutations(),
         0,
-        "deep stealing must never mutate state on a thief shard"
+        "stealing must never mutate state on a thief shard"
     );
     assert!(
-        deep.stats.conn_steals() > 0,
-        "deep stealing must actually lift frames off the hot shard's buffers"
+        on.stats.conn_steals() > 0,
+        "stealing must actually lift frames off the hot shard's buffers"
     );
     assert_eq!(
-        deep.stats.owner_routed(),
-        deep.stats.routed_served(),
+        on.stats.owner_routed(),
+        on.stats.routed_served(),
         "every routed mutation came home"
     );
     // Stall accounting is exact since the generation-counter rework: a
     // sibling counts only when it provably sat parked across the whole
     // deferring pass (its park generation predates the pass start and
     // it is still parked at the deferral) — so these are assertable
-    // counters, not racy estimates. The queue cell must exhibit real
-    // stranding, and the deep cell must strictly reduce it.
+    // counters, not racy estimates. The off cell must exhibit real
+    // stranding, and stealing must strictly reduce it.
     assert!(
-        queue.stats.stranded_stalls() > 0,
-        "the hot-shard skew must strand requests under queue-only stealing"
+        off.stats.stranded_stalls() > 0,
+        "the hot-shard skew must strand requests without stealing"
     );
     assert!(
-        deep.stats.stranded_stalls() < queue.stats.stranded_stalls(),
-        "deep stealing must strand strictly fewer requests: deep {} vs queue {}",
-        deep.stats.stranded_stalls(),
-        queue.stats.stranded_stalls(),
+        on.stats.stranded_stalls() < off.stats.stranded_stalls(),
+        "stealing must strand strictly fewer requests: on {} vs off {}",
+        on.stats.stranded_stalls(),
+        off.stats.stranded_stalls(),
     );
     // "No worse at the tail": both cells probe an identically drained
     // server, so the two distributions should coincide — unless the
-    // deep machinery (shared trays, gates, registries) leaks contention
-    // into the steady-state pump path, which would blow p99 past any
-    // per-request cost. The bound is relative (2x the queue cell's
-    // tail) with a small absolute floor, so µs-scale host-scheduler
-    // jitter between two otherwise-identical distributions cannot
-    // masquerade as a regression — while a genuine contention leak
-    // (tens to hundreds of µs of lock convoy per probe) still fails.
+    // stealing machinery (shared trays, gates, registries) leaks
+    // contention into the steady-state pump path, which would blow p99
+    // past any per-request cost. The bound is relative (2x the off
+    // cell's tail) with a small absolute floor, so µs-scale
+    // host-scheduler jitter between two otherwise-identical
+    // distributions cannot masquerade as a regression — while a genuine
+    // contention leak (tens to hundreds of µs of lock convoy per probe)
+    // still fails.
     let noise_floor = Duration::from_micros(50);
     assert!(
-        deep.rtt.p99() <= (queue.rtt.p99() * 2).max(noise_floor),
-        "deep-steal machinery must not cost tail latency: deep p99 {:?} \
-         vs queue p99 {:?}",
-        deep.rtt.p99(),
-        queue.rtt.p99(),
+        on.rtt.p99() <= (off.rtt.p99() * 2).max(noise_floor),
+        "stealing machinery must not cost tail latency: on p99 {:?} vs off p99 {:?}",
+        on.rtt.p99(),
+        off.rtt.p99(),
     );
 
     // --- what the stranding costs a fleet --------------------------------
     // Both cells drained the identical skewed offered load; the drain
     // wall clock is the capacity story. A fleet provisioned to absorb
-    // this skew at the queue-only drain rate needs `ratio` times the
-    // servers of one provisioned at the deep rate — capacity that
-    // exists either way, but under queue-only stealing sits parked
-    // behind a hot shard while clients wait.
-    let ratio = queue.drain.as_secs_f64() / deep.drain.as_secs_f64().max(1e-9);
+    // this skew at the no-stealing drain rate needs `ratio` times the
+    // servers of one provisioned at the stealing rate — capacity that
+    // exists either way, but without stealing sits parked behind a hot
+    // shard while clients wait.
+    let ratio = off.drain.as_secs_f64() / on.drain.as_secs_f64().max(1e-9);
     let model = PowerModel::rack_server();
     let per_server = model.annual_kwh(0.30);
     let extra_servers = (ratio - 1.0).max(0.0) * FLEET_SERVERS;
     let delta_kwh = extra_servers * per_server;
     report.note(format!(
-        "steal depth: queue-only moved {} queue items (and {} of them were mutations \
-         executed on the wrong shard's state); deep moved {} queue items + {} connection \
-         frames and routed {} mutations home ({:.1}% of stolen frames), with zero \
-         thief-mutated state",
-        queue.stats.steals(),
-        queue.stats.thief_mutations(),
-        deep.stats.steals(),
-        deep.stats.conn_steals(),
-        deep.stats.owner_routed(),
-        100.0 * deep.stats.owner_routed() as f64
-            / (deep.stats.conn_steals() + deep.stats.owner_routed()).max(1) as f64,
+        "steal depth: stealing moved {} queue items + {} connection frames and routed {} \
+         mutations home ({:.1}% of stolen frames), with zero thief-mutated state",
+        on.stats.steals(),
+        on.stats.conn_steals(),
+        on.stats.owner_routed(),
+        100.0 * on.stats.owner_routed() as f64
+            / (on.stats.conn_steals() + on.stats.owner_routed()).max(1) as f64,
     ));
     report.note(format!(
-        "stranded stalls: queue-only deferred frames {} times while a sibling sat \
-         parked; deep {} (siblings were busy stealing instead)",
-        queue.stats.stranded_stalls(),
-        deep.stats.stranded_stalls(),
+        "stranded stalls: without stealing the hot worker deferred frames {} times while a \
+         sibling sat parked; with stealing {} (siblings were busy stealing instead)",
+        off.stats.stranded_stalls(),
+        on.stats.stranded_stalls(),
     ));
     // The drain-rate direction depends on the host: recruiting thieves
     // needs idle cores, and on a single-core runner every runnable
@@ -421,14 +410,14 @@ fn main() {
     if ratio >= 1.0 {
         report.note(format!(
             "modeled fleet energy delta: the same skew drains {ratio:.2}x faster with \
-             connection-buffer stealing; a fleet sized for the queue-only rate carries \
+             connection-buffer stealing; a fleet sized for the no-stealing rate carries \
              {extra_servers:.0} extra servers at ~{per_server:.0} kWh/yr each ≈ \
              {delta_kwh:.0} kWh/yr across {FLEET_SERVERS:.0} sites — capacity that was \
              parked next to a hot shard the whole time",
         ));
     } else {
         report.note(format!(
-            "modeled fleet energy delta: not claimed on this run — the deep cell \
+            "modeled fleet energy delta: not claimed on this run — the stealing cell \
              drained the skew {:.2}x slower here ({} core(s) available: recruited \
              thieves timeslice against the owner instead of running beside it). The \
              stranded-capacity win requires genuinely idle cores; the stall counters \
@@ -439,14 +428,14 @@ fn main() {
     }
     report.note(format!(
         "conclusion: identical skewed mix, identical containment ({} vs {} faults); \
-         deep stealing kept steady-state probes at p99 {} vs {} and cut stranded \
-         stalls {} -> {} without a single off-shard mutation.",
-        deep.stats.contained_faults(),
-        queue.stats.contained_faults(),
-        fmt_us(deep.rtt.p99()),
-        fmt_us(queue.rtt.p99()),
-        queue.stats.stranded_stalls(),
-        deep.stats.stranded_stalls(),
+         stealing kept steady-state probes at p99 {} vs {} and cut stranded stalls \
+         {} -> {} without a single off-shard mutation.",
+        on.stats.contained_faults(),
+        off.stats.contained_faults(),
+        fmt_us(on.rtt.p99()),
+        fmt_us(off.rtt.p99()),
+        off.stats.stranded_stalls(),
+        on.stats.stranded_stalls(),
     ));
     report.print();
 }

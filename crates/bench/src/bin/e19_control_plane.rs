@@ -164,7 +164,6 @@ fn main() {
             "{label}: client-side refusals match the server-side books"
         );
         assert_eq!(cell.stats.crashes(), 0, "{label}: isolation holds");
-        assert_eq!(cell.stats.polls(), 0, "{label}: event-driven, zero polls");
         assert!(
             cell.stats.contained_faults() > 0,
             "{label}: the campaign must land attacks"

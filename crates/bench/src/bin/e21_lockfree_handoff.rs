@@ -26,7 +26,7 @@
 //!   number is the path cost, not the backlog.
 //!
 //! Hard assertions: exact conservation and reconciliation per cell,
-//! zero thief mutations, zero polls, stealing engaged whenever there
+//! zero thief mutations, stealing engaged whenever there
 //! are siblings, and the tails flat across the sweep within a generous
 //! CI bound (the committed trajectory guard lives in `bench_report`,
 //! where the 10 % direction-aware ratio is gated against the
@@ -37,8 +37,7 @@ use std::time::{Duration, Instant};
 use sdrad::ClientId;
 use sdrad_bench::{banner, Report};
 use sdrad_runtime::{
-    IsolationMode, KvHandler, LatencyHistogram, Runtime, RuntimeConfig, RuntimeStats, Scheduling,
-    StealPolicy, SubmitOutcome,
+    IsolationMode, KvHandler, LatencyHistogram, Runtime, RuntimeConfig, RuntimeStats, SubmitOutcome,
 };
 
 /// Worker counts swept; the mutex design was already convoying at 4.
@@ -86,8 +85,7 @@ struct Cell {
 fn run_cell(workers: usize) -> Cell {
     let burst = requests_per_cell();
     let mut config = RuntimeConfig::new(workers, IsolationMode::PerClientDomain);
-    config.scheduling = Scheduling::EventDriven;
-    config.work_stealing = StealPolicy::Deep;
+    config.work_stealing = true;
     config.conn_read_budget = BUDGET;
     config.batch = 16;
     config.queue_capacity = burst.max(4096);
@@ -210,11 +208,6 @@ fn assert_cell_books(cell: &Cell) {
     assert_eq!(
         cell.stats.shed, 0,
         "{w} workers: nothing sheds at this depth"
-    );
-    assert_eq!(
-        cell.stats.polls(),
-        0,
-        "{w} workers: event-driven cells never poll"
     );
     assert_eq!(cell.stats.crashes(), 0, "{w} workers: no crashes");
     assert_eq!(

@@ -4,15 +4,17 @@
 //! The paper prices resilience mechanisms by the joules they burn; the
 //! allocator is a tax every mechanism pays on every frame. This
 //! experiment runs the e17 closed-loop kvstore mix twice through the
-//! **identical** code path — `RuntimeConfig::frame_pooling` toggles
-//! only whether `FrameBuf::acquire` recycles worker-local storage or
-//! falls through to a fresh heap allocation — and counts worker-thread
+//! **identical** code path — the unpooled arm's handler factory turns
+//! its worker thread's arena off (`arena::set_thread_pooling(false)`,
+//! after the runtime armed it), so `FrameBuf::acquire` falls through to
+//! a fresh heap allocation instead of recycling worker-local storage —
+//! and counts worker-thread
 //! heap allocations per served request with the [`CountingAlloc`]
 //! harness (workers opt in from their handler factory, so the load
 //! generator's allocations are never charged to the serving path).
 //!
-//! A second cell replays the e18 hot-shard skew under
-//! [`StealPolicy::Deep`] with pooling on: stolen frames carry pooled
+//! A second cell replays the e18 hot-shard skew with work stealing and
+//! pooling on: stolen frames carry pooled
 //! storage to thief threads and their buffers flow home over the MPSC
 //! return channel, so the steal path must keep the arena's books
 //! balanced (`acquires == reuses + fresh`) while actually engaging.
@@ -20,12 +22,11 @@
 //! Hard assertions encode the regression guard CI relies on: pooled
 //! allocs-per-request under half the unpooled figure, a majority of
 //! acquires served from recycled storage, balanced arena books on both
-//! the closed-loop and the deep-steal cell, and a pooled p99 inside a
+//! the closed-loop and the steal cell, and a pooled p99 inside a
 //! generous band of the unpooled tail (allocation discipline must not
 //! buy its savings with latency).
 //!
 //! [`CountingAlloc`]: sdrad_nolock::CountingAlloc
-//! [`StealPolicy::Deep`]: sdrad_runtime::StealPolicy::Deep
 
 use std::time::Duration;
 
@@ -33,8 +34,7 @@ use sdrad::ClientId;
 use sdrad_bench::{banner, Report};
 use sdrad_nolock::{arena, CountingAlloc};
 use sdrad_runtime::{
-    ConnectionServer, IsolationMode, KvHandler, Runtime, RuntimeConfig, RuntimeStats, Scheduling,
-    StealPolicy, SubmitOutcome,
+    ConnectionServer, IsolationMode, KvHandler, Runtime, RuntimeConfig, RuntimeStats, SubmitOutcome,
 };
 
 #[global_allocator]
@@ -98,13 +98,12 @@ impl Cell {
 /// allocations. Only the post-warm-up window is counted.
 fn conn_cell(pooling: bool) -> Cell {
     let measured = requests_per_cell();
-    let mut config = RuntimeConfig::new(WORKERS, IsolationMode::PerClientDomain);
-    config.scheduling = Scheduling::EventDriven;
-    config.frame_pooling = pooling;
-    let server = ConnectionServer::start(config, |_| {
+    let config = RuntimeConfig::new(WORKERS, IsolationMode::PerClientDomain);
+    let server = ConnectionServer::start(config, move |_| {
         // Runs on the worker's own thread: every allocation this worker
         // makes from here on is charged to the serving path.
         arena::count_allocs_on_this_thread(true);
+        arena::set_thread_pooling(pooling);
         KvHandler::default()
     });
     let mut clients: Vec<_> = (0..CONNS).map(|_| server.connect()).collect();
@@ -112,7 +111,7 @@ fn conn_cell(pooling: bool) -> Cell {
         for i in from..from + count {
             let c = i % CONNS;
             clients[c].write(&benign(i));
-            let _ = server.await_response(&mut clients[c], 1);
+            let _ = server.await_response(&mut clients[c]);
         }
     };
     drive(0, WARMUP);
@@ -130,13 +129,12 @@ fn conn_cell(pooling: bool) -> Cell {
 }
 
 /// The e18 skew with pooling on: a read-only burst pinned to shard 0
-/// under deep stealing, so thieves lift pooled frames off the hot
+/// with stealing on, so thieves lift pooled frames off the hot
 /// shard and their storage returns home cross-thread.
 fn steal_cell() -> RuntimeStats {
     const BURST: usize = 4_000;
     let mut config = RuntimeConfig::new(WORKERS, IsolationMode::PerClientDomain);
-    config.scheduling = Scheduling::EventDriven;
-    config.work_stealing = StealPolicy::Deep;
+    config.work_stealing = true;
     config.batch = 16;
     config.queue_capacity = BURST.max(4096);
     let runtime = Runtime::start(config, |_| KvHandler::default());

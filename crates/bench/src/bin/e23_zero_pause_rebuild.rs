@@ -1,49 +1,36 @@
-//! E23 — zero-pause pool rebuilds: publish-and-retire vs
-//! stop-the-world.
+//! E23 — zero-pause pool rebuilds: publish-and-retire under a
+//! ladder-driven storm.
 //!
-//! The escalation ladder's pool-rebuild rung used to be synchronous:
-//! the faulting worker tore down its whole domain pool inside the
-//! serving path, and every request queued behind the fault waited out
-//! the modeled teardown window (20 µs per pooled domain — 160 µs per
-//! rebuild at the default pool size). The hazard-pointer lifecycle
-//! replaces that with publish-and-retire: a fresh pool is published in
-//! pointer-scale time, the old one is retired into a deferred queue,
-//! and its domains are torn down a couple per pump pass, off the
-//! serving path.
+//! The escalation ladder's pool-rebuild rung publishes a fresh pool in
+//! pointer-scale time, retires the old one into a deferred queue, and
+//! tears its domains down a couple per pump pass, off the serving path.
+//! An in-place teardown would have made every request queued behind the
+//! fault wait out the modeled teardown window (20 µs per pooled domain
+//! — 160 µs per rebuild at the default pool size).
 //!
-//! This harness prices the difference where it matters — the benign
+//! This harness prices the rung where it matters — the benign
 //! neighbour's tail. One offender drives a rebuild every third fault
 //! on the shard where a benign closed-loop probe is served; the
 //! probe's ticket-RTT p99 is measured against the quiet runtime and
-//! then inside the storm, under both [`RebuildMode`]s. Acceptance:
+//! then inside the storm. Acceptance:
 //!
-//! * the deferred storm p99 stays within a generous single-host band
-//!   of steady state (the committed 1.1-band trajectory guard on
+//! * the storm p99 stays within a generous single-host band of steady
+//!   state (the committed 1.1-band trajectory guard on
 //!   `e23.rebuild_p99_ratio` lives in `bench_report --check`);
-//! * the synchronous storm p99 shows the physical pause — at least
-//!   the modeled teardown window, and at least twice the deferred
-//!   storm tail;
-//! * the reclamation books reconcile exactly in every cell —
+//! * the reclamation books reconcile exactly —
 //!   `retired == reclaimed + pending` with pending drained to zero,
 //!   the shared-view hazard domain conserving, zero crashes, zero
-//!   thief mutations — and the energy bill prices whichever lifecycle
-//!   ran (pause joules vs publish + amortized reclamation joules).
+//!   thief mutations — and the energy bill prices publish + amortized
+//!   reclamation joules, never a pause.
 
-use std::time::Duration;
-
-use sdrad_bench::rebuild::{best_cell, RebuildCell};
+use sdrad_bench::rebuild::best_cell;
 use sdrad_bench::{banner, fmt_duration, Report};
-use sdrad_runtime::RebuildMode;
 
-/// In-binary acceptance slack on the deferred storm ratio: generous,
-/// because a single run on a loaded host carries scheduler noise the
-/// committed trajectory guard (1.1 band, best-of-N) does not.
-const DEFERRED_SLACK: f64 = 3.0;
-/// The synchronous pause must be visible in the storm tail: the
-/// modeled window is 160 µs per rebuild at the default pool size, and
-/// a deterministic third of the storm probes queue behind one.
-const PAUSE_VISIBLE: Duration = Duration::from_micros(100);
-/// Runs per cell; ratios are taken from the least-noise run.
+/// In-binary acceptance slack on the storm ratio: generous, because a
+/// single run on a loaded host carries scheduler noise the committed
+/// trajectory guard (1.1 band, best-of-N) does not.
+const STORM_SLACK: f64 = 3.0;
+/// Runs; ratios are taken from the least-noise run.
 const RUNS: usize = 3;
 
 fn probes() -> usize {
@@ -53,54 +40,25 @@ fn probes() -> usize {
         .unwrap_or(768)
 }
 
-fn cell_row(r: &mut Report, label: &str, cell: &RebuildCell) {
-    let ctl = cell.stats.control.as_ref().expect("control books");
-    r.row(&[
-        label.into(),
-        format!("{:.1}us", cell.steady_p99.as_nanos() as f64 / 1e3),
-        format!("{:.1}us", cell.storm_p99.as_nanos() as f64 / 1e3),
-        format!("{:.2}x", cell.storm_ratio()),
-        cell.stats.pool_rebuilds().to_string(),
-        cell.stats.domains_retired().to_string(),
-        fmt_duration(ctl.bill.pool_time + ctl.bill.publish_time),
-        fmt_duration(ctl.bill.reclaim_time),
-    ]);
-}
-
 fn main() {
     banner(
         "E23",
-        "zero-pause pool rebuilds: publish-and-retire vs stop-the-world",
+        "zero-pause pool rebuilds: publish-and-retire under a ladder-driven storm",
         "recovery only stays cheaper than a restart if escalation rungs stop billing their \
          cost to the benign traffic queued behind the fault",
     );
     let probes = probes();
 
-    let deferred = best_cell(RebuildMode::Deferred, RUNS, probes);
-    let synchronous = best_cell(RebuildMode::Synchronous, RUNS, probes);
+    let cell = best_cell(RUNS, probes);
+    let ratio = cell.storm_ratio();
+    let ctl = cell.stats.control.as_ref().expect("control books");
 
-    let deferred_ratio = deferred.storm_ratio();
-    let sync_ratio = synchronous.storm_ratio();
-
-    assert!(deferred.reclaim_conserves() && synchronous.reclaim_conserves());
+    assert!(cell.reclaim_conserves());
     assert!(
-        deferred_ratio <= DEFERRED_SLACK,
-        "deferred rebuilds paused the benign tail: storm p99 {:?} vs steady {:?} ({:.2}x)",
-        deferred.storm_p99,
-        deferred.steady_p99,
-        deferred_ratio
-    );
-    assert!(
-        synchronous.storm_p99 >= PAUSE_VISIBLE,
-        "the synchronous stop-the-world window never showed in the tail: {:?}",
-        synchronous.storm_p99
-    );
-    assert!(
-        synchronous.storm_p99 > deferred.storm_p99,
-        "the pause the deferred path deletes must be measurable on the synchronous one: \
-         sync {:?} vs deferred {:?}",
-        synchronous.storm_p99,
-        deferred.storm_p99
+        ratio <= STORM_SLACK,
+        "pool rebuilds paused the benign tail: storm p99 {:?} vs steady {:?} ({ratio:.2}x)",
+        cell.storm_p99,
+        cell.steady_p99,
     );
 
     let mut r = Report::new(
@@ -110,10 +68,9 @@ fn main() {
     r.begin_table(
         format!(
             "{probes} closed-loop probes per phase, one attack ahead of each storm probe \
-             (a pool rebuild every 3rd), 2 deep-steal workers, best of {RUNS} runs per cell"
+             (a pool rebuild every 3rd), 2 stealing workers, best of {RUNS} runs"
         ),
         &[
-            "rebuild",
             "steady p99",
             "storm p99",
             "ratio",
@@ -123,47 +80,38 @@ fn main() {
             "reclaim",
         ],
     );
-    cell_row(&mut r, "deferred (publish+retire)", &deferred);
-    cell_row(&mut r, "synchronous (stop-the-world)", &synchronous);
+    r.row(&[
+        format!("{:.1}us", cell.steady_p99.as_nanos() as f64 / 1e3),
+        format!("{:.1}us", cell.storm_p99.as_nanos() as f64 / 1e3),
+        format!("{ratio:.2}x"),
+        cell.stats.pool_rebuilds().to_string(),
+        cell.stats.domains_retired().to_string(),
+        fmt_duration(ctl.bill.pool_time + ctl.bill.publish_time),
+        fmt_duration(ctl.bill.reclaim_time),
+    ]);
 
     r.exact(
         "reclaim_conserves",
-        f64::from(u8::from(
-            deferred.reclaim_conserves() && synchronous.reclaim_conserves(),
-        )),
+        f64::from(u8::from(cell.reclaim_conserves())),
         "bool",
     )
-    .exact(
-        "crashes",
-        (deferred.stats.crashes() + synchronous.stats.crashes()) as f64,
-        "count",
-    )
+    .exact("crashes", cell.stats.crashes() as f64, "count")
     .exact(
         "thief_mutations",
-        (deferred.stats.thief_mutations() + synchronous.stats.thief_mutations()) as f64,
+        cell.stats.thief_mutations() as f64,
         "count",
     )
-    .info("rebuild_p99_ratio", deferred_ratio, "ratio")
-    .info("sync_p99_ratio", sync_ratio, "ratio")
-    .info("storm_p99_ns", deferred.storm_p99.as_nanos() as f64, "ns")
+    .info("rebuild_p99_ratio", ratio, "ratio")
+    .info("storm_p99_ns", cell.storm_p99.as_nanos() as f64, "ns")
     .note(format!(
-        "deferred rebuilds hold the benign storm p99 at {deferred_ratio:.2}x steady state \
-         while the synchronous path spikes to {sync_ratio:.2}x; the same teardown work is \
-         billed as {} of amortized reclamation instead of a serving-path pause",
-        fmt_duration(
-            deferred
-                .stats
-                .control
-                .as_ref()
-                .expect("control books")
-                .bill
-                .reclaim_time
-        )
+        "pool rebuilds hold the benign storm p99 at {ratio:.2}x steady state; their teardown \
+         is billed as {} of amortized reclamation instead of a serving-path pause",
+        fmt_duration(ctl.bill.reclaim_time)
     ))
     .note(format!(
-        "reclamation books reconcile exactly in both cells: {} domains retired == reclaimed, \
-         nothing pending past shutdown, hazard domain conserved",
-        deferred.stats.domains_retired() + synchronous.stats.domains_retired()
+        "reclamation books reconcile exactly: {} domains retired == reclaimed, nothing \
+         pending past shutdown, hazard domain conserved",
+        cell.stats.domains_retired()
     ));
     r.print();
     println!("e23 acceptance criteria hold");

@@ -2,32 +2,27 @@
 //! `e23_zero_pause_rebuild` harness and `bench_report`'s trajectory
 //! cut.
 //!
-//! One cell runs the same campaign under a chosen
-//! [`RebuildMode`]: a control plane tuned so an offender's every third
+//! One cell runs a control plane tuned so an offender's every third
 //! consecutive fault climbs the escalation ladder to the pool-rebuild
 //! rung on the serving shard, while a benign closed-loop probe on that
 //! same shard measures its ticket round-trip p99 — first against a
 //! quiet runtime (steady state), then with the rebuild storm running
-//! (one attack ahead of every probe). The deferred mode publishes a
-//! fresh pool and retires the old one behind hazard pointers; the
-//! synchronous mode tears the pool down in place and physically waits
-//! out the modeled stop-the-world window, so the probe behind it
-//! really pays the pause.
+//! (one attack ahead of every probe). Each rebuild publishes a fresh
+//! pool and retires the old one behind hazard pointers.
 //!
 //! Every cell closes its books before returning: runtime stats
 //! reconcile, zero crashes, zero thief mutations, the reclamation
 //! ledger balances (`retired == reclaimed + pending` with pending
 //! drained to zero), the shared-view hazard domain conserves, and the
-//! energy bill prices whichever lifecycle actually ran (pause time on
-//! the synchronous path, publish + amortized reclamation time on the
-//! deferred one).
+//! energy bill prices publish + amortized reclamation time, never a
+//! pause.
 
 use std::time::{Duration, Instant};
 
 use sdrad::ClientId;
 use sdrad_runtime::{
-    ControlConfig, IsolationMode, KvHandler, LadderParams, LatencyHistogram, RebuildMode,
-    ReputationParams, Runtime, RuntimeConfig, RuntimeStats, StealPolicy, SubmitOutcome,
+    ControlConfig, IsolationMode, KvHandler, LadderParams, LatencyHistogram, ReputationParams,
+    Runtime, RuntimeConfig, RuntimeStats, SubmitOutcome,
 };
 
 /// The planted out-of-bounds fault every isolated build contains. The
@@ -36,15 +31,13 @@ use sdrad_runtime::{
 pub const ATTACK: &[u8] = b"xstat 4096 4\r\nboom\r\n";
 
 /// One modeled stop-the-world pause quantum, less a small margin: the
-/// synchronous rung spins 20 µs × 8 pooled domains = 160 µs per
-/// rebuild, so a deterministic third of its storm probes wait at
-/// least that long and its storm p99 can never come under this floor.
-/// Both sides of the storm ratio are floored here — the trajectory
-/// metric asks whether the storm tail stays under one pause quantum,
-/// which the deferred path must (its serving-path residue is a pointer
-/// swap, a µs-scale rewind and the lazy refill of a small fresh pool)
-/// and the synchronous path physically cannot. Flooring also keeps
-/// µs-scale host jitter from moving the committed ratio.
+/// calibrated in-place teardown of a rebuild is 20 µs × 8 pooled
+/// domains = 160 µs. Both sides of the storm ratio are floored here —
+/// the trajectory metric asks whether the storm tail stays under one
+/// pause quantum, which the zero-pause path must (its serving-path
+/// residue is a pointer swap, a µs-scale rewind and the lazy refill of
+/// a small fresh pool). Flooring also keeps µs-scale host jitter from
+/// moving the committed ratio.
 pub const TAIL_FLOOR: Duration = Duration::from_micros(150);
 
 /// Control tuned so the offender is never throttled, quarantined or
@@ -72,22 +65,19 @@ pub fn rebuild_happy_control() -> ControlConfig {
     }
 }
 
-/// The cell's runtime: two deep-stealing workers, per-client domains,
-/// the rebuild-happy control plane, and the rebuild mode under test.
+/// The cell's runtime: two stealing workers, per-client domains and
+/// the rebuild-happy control plane.
 #[must_use]
-pub fn cell_config(rebuild: RebuildMode) -> RuntimeConfig {
+pub fn cell_config() -> RuntimeConfig {
     let mut config = RuntimeConfig::new(2, IsolationMode::PerClientDomain);
-    config.work_stealing = StealPolicy::Deep;
-    config.rebuild = rebuild;
+    config.work_stealing = true;
     config.control = Some(rebuild_happy_control());
     config.queue_capacity = 4096;
     config.batch = 16;
     // Small domain heaps so the per-domain *byte* costs the storm pays
-    // either way (rewind restores, zeroed re-creation after a rebuild)
-    // stay µs-scale: what separates the two cells is then the rebuild
-    // lifecycle itself, not megabytes of heap churn. The synchronous
-    // pause is modeled per domain (20 µs × 8), independent of heap
-    // size, so shrinking the heap does not shrink the spike under test.
+    // (rewind restores, zeroed re-creation after a rebuild) stay
+    // µs-scale: what the probe sees is then the rebuild lifecycle
+    // itself, not megabytes of heap churn.
     config.domain_heap = 64 * 1024;
     config
 }
@@ -139,8 +129,8 @@ fn round_trip(runtime: &Runtime, client: ClientId, histogram: &mut LatencyHistog
     }
 }
 
-/// Runs one storm cell under `rebuild` with `probes` round trips per
-/// phase, asserts every book it can close, and returns the tails.
+/// Runs one storm cell with `probes` round trips per phase, asserts
+/// every book it can close, and returns the tails.
 ///
 /// # Panics
 ///
@@ -148,8 +138,8 @@ fn round_trip(runtime: &Runtime, client: ClientId, histogram: &mut LatencyHistog
 /// energy books, a crash, a thief-side mutation, or a storm that never
 /// reached the pool-rebuild rung.
 #[must_use]
-pub fn run_cell(rebuild: RebuildMode, probes: usize) -> RebuildCell {
-    let runtime = Runtime::start(cell_config(rebuild), |_| KvHandler::default());
+pub fn run_cell(probes: usize) -> RebuildCell {
+    let runtime = Runtime::start(cell_config(), |_| KvHandler::default());
     // Warm every worker (domain-pool setup is serialized) and find the
     // probe and offender on the same shard, so the storm's rebuilds
     // land exactly where the benign probe is served.
@@ -196,9 +186,13 @@ pub fn run_cell(rebuild: RebuildMode, probes: usize) -> RebuildCell {
     let stats = runtime.shutdown();
     if std::env::var("SDRAD_E23_DEBUG").is_ok() {
         eprintln!(
-            "debug {rebuild:?}: steady p50 {:?} p99 {:?} | storm p50 {:?} p99 {:?} | rebuilds {} retired {}",
-            steady.p50(), steady.p99(), storm.p50(), storm.p99(),
-            stats.pool_rebuilds(), stats.domains_retired()
+            "debug: steady p50 {:?} p99 {:?} | storm p50 {:?} p99 {:?} | rebuilds {} retired {}",
+            steady.p50(),
+            steady.p99(),
+            storm.p50(),
+            storm.p99(),
+            stats.pool_rebuilds(),
+            stats.domains_retired()
         );
     }
 
@@ -221,7 +215,7 @@ pub fn run_cell(rebuild: RebuildMode, probes: usize) -> RebuildCell {
     let hazard = stats
         .hazard
         .as_ref()
-        .expect("deep stealing runs a hazard domain");
+        .expect("stealing runs a hazard domain");
     assert!(
         hazard.conserves() && hazard.pending == 0,
         "hazard books: {hazard:?}"
@@ -229,30 +223,19 @@ pub fn run_cell(rebuild: RebuildMode, probes: usize) -> RebuildCell {
     assert!(stats.views_published() > 0, "owners published read views");
     let ctl = stats.control.as_ref().expect("control books");
     assert!(ctl.reconciles(), "decisions counted == billed == executed");
-    match rebuild {
-        RebuildMode::Deferred => {
-            assert_eq!(
-                ctl.bill.deferred_rebuilds, ctl.bill.pool_rebuilds,
-                "every rebuild went down the publish-and-retire path"
-            );
-            assert!(
-                ctl.bill.reclaim_time > Duration::ZERO,
-                "deferral moves the teardown joules, it does not delete them"
-            );
-            assert_eq!(
-                ctl.bill.pool_time,
-                Duration::ZERO,
-                "no stop-the-world window was billed on the deferred path"
-            );
-        }
-        RebuildMode::Synchronous => {
-            assert_eq!(ctl.bill.deferred_rebuilds, 0);
-            assert!(
-                ctl.bill.pool_time > Duration::ZERO,
-                "synchronous rebuilds bill their pause"
-            );
-        }
-    }
+    assert_eq!(
+        ctl.bill.deferred_rebuilds, ctl.bill.pool_rebuilds,
+        "every rebuild went down the publish-and-retire path"
+    );
+    assert!(
+        ctl.bill.reclaim_time > Duration::ZERO,
+        "deferral moves the teardown joules, it does not delete them"
+    );
+    assert_eq!(
+        ctl.bill.pool_time,
+        Duration::ZERO,
+        "no stop-the-world window was billed"
+    );
 
     RebuildCell {
         stats,
@@ -261,14 +244,14 @@ pub fn run_cell(rebuild: RebuildMode, probes: usize) -> RebuildCell {
     }
 }
 
-/// Runs `runs` cells under `rebuild` and returns the one with the
-/// smallest storm ratio — the least host-noise-contaminated estimate
-/// of what the rebuild path itself costs. Book invariants are asserted
-/// inside every run, not just the chosen one.
+/// Runs `runs` cells and returns the one with the smallest storm ratio
+/// — the least host-noise-contaminated estimate of what the rebuild
+/// path itself costs. Book invariants are asserted inside every run,
+/// not just the chosen one.
 #[must_use]
-pub fn best_cell(rebuild: RebuildMode, runs: usize, probes: usize) -> RebuildCell {
+pub fn best_cell(runs: usize, probes: usize) -> RebuildCell {
     (0..runs.max(1))
-        .map(|_| run_cell(rebuild, probes))
+        .map(|_| run_cell(probes))
         .min_by(|a, b| a.storm_ratio().total_cmp(&b.storm_ratio()))
         .expect("at least one run")
 }

@@ -21,7 +21,7 @@
 //!   show zero lost frames and zero regressions.
 
 use sdrad_runtime::{
-    ConnectionServer, ControlConfig, EventKind, IsolationMode, KvHandler, RuntimeStats, Scheduling,
+    ConnectionServer, ControlConfig, EventKind, IsolationMode, KvHandler, RuntimeStats,
     StreamingConfig, TelemetryConfig, TraceLog,
 };
 
@@ -210,7 +210,6 @@ pub fn closed_loop_cell(
 ) -> RuntimeStats {
     const CONNS: usize = 8;
     let mut config = sdrad_runtime::RuntimeConfig::new(4, IsolationMode::PerClientDomain);
-    config.scheduling = Scheduling::EventDriven;
     config.telemetry = telemetry;
     config.streaming = streaming;
     let server = ConnectionServer::start(config, |_| KvHandler::default());
@@ -223,7 +222,7 @@ pub fn closed_loop_cell(
             format!("get key-{}\r\n", i % 512).into_bytes()
         };
         clients[c].write(&payload);
-        let _ = server.await_response(&mut clients[c], 1);
+        let _ = server.await_response(&mut clients[c]);
     }
     server.shutdown()
 }

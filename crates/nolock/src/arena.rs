@@ -158,10 +158,10 @@ thread_local! {
 
 /// Enables or disables frame-buffer pooling for the *current* thread.
 ///
-/// Workers call this at startup from their own thread
-/// (`RuntimeConfig::frame_pooling`); threads that never opt in get
-/// plain detached buffers from [`FrameBuf::acquire`], so library code
-/// can acquire unconditionally.
+/// Runtime workers arm their arena at startup from their own thread (a
+/// measurement harness may turn it off again from the worker's handler
+/// factory); threads that never opt in get plain detached buffers from
+/// [`FrameBuf::acquire`], so library code can acquire unconditionally.
 pub fn set_thread_pooling(enabled: bool) {
     POOLING.with(|p| p.set(enabled));
 }

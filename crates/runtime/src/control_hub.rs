@@ -67,14 +67,15 @@ pub(crate) enum Routing {
 }
 
 impl ControlHub {
-    pub(crate) fn new(
-        config: ControlConfig,
-        models: RungModels,
-        blast_pit: usize,
-        recorder: Recorder,
-    ) -> Self {
+    /// A hub over a fresh plane. Pool rebuilds publish a fresh pool and
+    /// retire the old one, so the ladder bills them with the deferred
+    /// rung models: publish (pause) plus amortized reclamation.
+    pub(crate) fn new(config: ControlConfig, blast_pit: usize, recorder: Recorder) -> Self {
         ControlHub {
-            plane: Mutex::new(ControlPlane::with_models(config, models)),
+            plane: Mutex::new(ControlPlane::with_models(
+                config,
+                RungModels::calibrated().deferred(),
+            )),
             started: Instant::now(),
             blast_pit,
             recorder,
@@ -92,13 +93,6 @@ impl ControlHub {
     /// The blast-pit shard index.
     pub(crate) fn blast_pit(&self) -> usize {
         self.blast_pit
-    }
-
-    /// The rung cost models the plane bills with — workers consult them
-    /// to make the synchronous rebuild's modeled pause *physical* (the
-    /// e23 contrast run) without a second source of truth for its size.
-    pub(crate) fn rung_models(&self) -> RungModels {
-        self.plane.lock().expect("control lock").models()
     }
 
     /// Admission control for one request/connection from `client`.

@@ -84,8 +84,9 @@ pub enum StealClass {
     /// silent state divergence, which is not.
     ReadOnly,
     /// Mutates shard state: must only ever execute on the shard that
-    /// owns the state. Under [`StealPolicy::Deep`](crate::StealPolicy)
-    /// a thief that encounters one on a stolen connection buffer routes
+    /// owns the state. With
+    /// [`work_stealing`](crate::RuntimeConfig::work_stealing) on, a
+    /// thief that encounters one on a stolen connection buffer routes
     /// it **back to the owner** as an owner-routed submission instead
     /// of executing it.
     Mutation,

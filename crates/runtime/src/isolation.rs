@@ -83,25 +83,12 @@ impl WorkerIsolation {
         }
     }
 
-    /// The pool-rebuild rung of the recovery-escalation ladder: every
-    /// pooled domain is torn down and a fresh (empty) pool takes its
-    /// place — synchronously, the stop-the-world variant. Client →
-    /// domain assignments are forgotten; the manager — and its rewind
-    /// book — survives.
-    pub fn rebuild_pool(&mut self) {
-        let torn_down = self.pool.domains_created();
-        self.retired_domains += torn_down;
-        self.hz_retired += torn_down as u64;
-        self.hz_reclaimed += torn_down as u64;
-        let _ = self.pool.shutdown(&mut self.mgr);
-        self.pool = DomainPool::new(self.template.clone(), self.max_domains);
-        self.pool_generation += 1;
-    }
-
-    /// The zero-pause variant of the pool-rebuild rung: publish a fresh
-    /// pool, *retire* the old one onto the deferred list, and tear its
-    /// domains down incrementally via [`reclaim_step`](Self::reclaim_step)
-    /// instead of inside the serving path. The publish itself is
+    /// The pool-rebuild rung of the recovery-escalation ladder, zero
+    /// pause: publish a fresh (empty) pool, *retire* the old one onto
+    /// the deferred list, and tear its domains down incrementally via
+    /// [`reclaim_step`](Self::reclaim_step) instead of inside the
+    /// serving path. Client → domain assignments are forgotten; the
+    /// manager — and its rewind book — survives. The publish itself is
     /// pointer-scale work; one domain is reclaimed eagerly so the fresh
     /// pool always has key headroom (hardware keys are the scarce
     /// resource the old pool is still holding).
@@ -302,7 +289,7 @@ mod tests {
         assert_eq!(iso.domains_created(), 2);
 
         // The pool rung forgets assignments but keeps the rewind book.
-        iso.rebuild_pool();
+        iso.rebuild_pool_deferred();
         assert_eq!(iso.clients_assigned(), 0, "assignments forgotten");
         assert_eq!(iso.rewinds(), 2, "rewind book survives");
         fault(&mut iso, 1);

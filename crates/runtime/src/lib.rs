@@ -9,23 +9,20 @@
 //!   [`DomainPool`] (protection keys and PKRU are per-thread state on
 //!   real MPK hardware, so managers stay thread-confined and the request
 //!   hot path takes no locks), draining its shard's queue **and pumping
-//!   the connections assigned to its shard**. Under the default
-//!   **readiness-driven scheduling** ([`Scheduling::EventDriven`]) the
-//!   worker parks indefinitely on a per-shard wake set fed by queue
-//!   pushes, `sdrad-net` readiness callbacks and sibling steal hints —
-//!   an idle runtime performs **zero** periodic connection polls (the
-//!   legacy poll loop survives as [`Scheduling::Polling`], the
-//!   measurable baseline). Pump passes are bounded by a per-connection
-//!   **read budget** (fairness against noisy pipeliners), silent
-//!   connections can be **reaped** (`RuntimeConfig::idle_reap_after`),
-//!   and [`RuntimeConfig::work_stealing`] selects a [`StealPolicy`]:
-//!   [`Queue`](StealPolicy::Queue) lets an idle worker steal pre-framed
-//!   requests off the most-loaded sibling queue, and
-//!   [`Deep`](StealPolicy::Deep) additionally lifts framing-complete
-//!   requests off sibling **connection buffers** — read-only frames
-//!   (per [`SessionHandler::steal_class`]) execute on the thief,
-//!   shard-state **mutations are routed back to the owner** with
-//!   responses written in frame order, so stealing is safe for
+//!   the connections assigned to its shard**. Scheduling is
+//!   **readiness-driven**: the worker parks indefinitely on a per-shard
+//!   wake set fed by queue pushes, `sdrad-net` readiness callbacks and
+//!   sibling steal hints, and runs one [pass](Worker) per wake — an
+//!   idle runtime performs **zero** periodic connection polls. Pump
+//!   passes are bounded by a per-connection **read budget** (fairness
+//!   against noisy pipeliners), silent connections can be **reaped**
+//!   (`RuntimeConfig::idle_reap_after`), and
+//!   [`RuntimeConfig::work_stealing`] lets an idle worker take read-only
+//!   pre-framed requests off the most-loaded sibling queue and lift
+//!   framing-complete requests off sibling **connection buffers** —
+//!   read-only frames (per [`SessionHandler::steal_class`]) execute on
+//!   the thief, shard-state **mutations are routed back to the owner**
+//!   with responses written in frame order, so stealing is safe for
 //!   shard-stateful handlers. Connections themselves never move: they
 //!   stay sticky for domain affinity;
 //! * [`Runtime`] — a shard-by-[`ClientId`] dispatcher with **bounded**
@@ -51,7 +48,7 @@
 //!   in isolated mode, secret-leaking responses flagged
 //!   [`Disposition::SecretLeak`] in the baseline);
 //! * [`RuntimeStats`] — per-worker and aggregate throughput, contained
-//!   faults, rewind time, crashes, leaks, shed counts, park/wakeup/poll
+//!   faults, rewind time, crashes, leaks, shed counts, park/wakeup
 //!   counters, steal and reap counts, plus **streaming latency
 //!   histograms** ([`LatencyHistogram`]) giving p50/p99/p999 per
 //!   disposition (ok / contained / shed), with a reconciliation
@@ -63,14 +60,13 @@
 //!   into `sdrad-energy`'s fleet models.
 //!
 //! The experiment harnesses `e15_concurrent_throughput` (pre-framed
-//! submits), `e16_connection_serving` (full connection path, all three
-//! workloads, `sdrad-faultsim`-scheduled attacks), `e17_event_driven`
-//! (readiness vs polling scheduling: wakeups, polls avoided, steal
-//! rate, client-observed RTT, fleet energy delta) and `e18_deep_steal`
-//! (queue-only vs connection-buffer stealing under a hot-shard skew:
-//! steal depth, owner-routed mutation rate, stranded stalls, fleet
-//! energy of stranded capacity) sweep this runtime baseline vs
-//! isolated.
+//! submits) and `e16_connection_serving` (full connection path, all
+//! three workloads, `sdrad-faultsim`-scheduled attacks) sweep this
+//! runtime baseline vs isolated; `e17_event_driven` (readiness
+//! scheduling: zero idle wakeups, steal rate, client-observed RTT) and
+//! `e18_deep_steal` (stealing off vs on under a hot-shard skew: steal
+//! depth, owner-routed mutation rate, stranded stalls, fleet energy of
+//! stranded capacity) probe its scheduler.
 //!
 //! ## Example
 //!
@@ -129,10 +125,8 @@ pub use handler::{
     Framing, HttpHandler, KvHandler, ReadView, Reply, SessionHandler, StealClass, TlsHandler,
 };
 pub use isolation::{IsolationMode, WorkerIsolation};
-pub use queue::{Completion, Disposition, Request, ShardQueue, Ticket, WorkBatch};
-pub use runtime::{
-    Dispatcher, RebuildMode, Runtime, RuntimeConfig, Scheduling, StealPolicy, SubmitOutcome,
-};
+pub use queue::{Completion, Disposition, Request, ShardQueue, Ticket};
+pub use runtime::{Dispatcher, Runtime, RuntimeConfig, SubmitOutcome};
 // The control-plane vocabulary a runtime embedder needs, re-exported so
 // harnesses configure admission control and read the closed books
 // without a direct `sdrad-control` dependency.

@@ -18,38 +18,31 @@
 //! * a bounded **MPMC steal buffer** the owner *publishes* surplus work
 //!   into. Thieves pop the buffer and never touch the owner's pump
 //!   loop, which is what makes a steal storm unable to stall the
-//!   owner's drain: [`steal`](ShardQueue::steal) and
-//!   [`steal_where`](ShardQueue::steal_where) read only the buffer.
+//!   owner's drain: [`steal_where`](ShardQueue::steal_where) reads only
+//!   the buffer.
 //!
 //! Capacity admission is a CAS on a depth counter, **reserved before**
 //! the push and released when a worker claims the request, so the bound
-//! is exact without any lock. Blocking ([`wait_work`]) is a cold-path
-//! condvar the producers only touch when a sleeper has registered.
+//! is exact without any lock. Nothing on the queue blocks: the worker
+//! claims work with [`try_drain`](ShardQueue::try_drain) (or
+//! [`drain_publishing`](ShardQueue::drain_publishing)) after its shard's
+//! wake set woke it.
 //!
-//! Since connection-level serving, the queue is also the worker's
-//! *wakeup channel*: [`ShardQueue::kick`] rouses a worker blocked in
-//! [`ShardQueue::wait_work`] without enqueueing anything (used when a
-//! new connection is assigned to the shard), and `wait_work` takes an
-//! optional timeout so a worker that owns connections can poll them
-//! between queue drains.
-//!
-//! Under event-driven scheduling
-//! ([`Scheduling::EventDriven`](crate::Scheduling)), the queue is
-//! additionally **bound** to its shard's [`WakeSet`](crate::wake::WakeSet):
-//! pushes, kicks and stop all signal the set (after the state change is
-//! observable), so a worker parked on the set — not on this queue's own
-//! condvar — still sees every edge. When work stealing is enabled the
-//! queue rings sibling *steal bells* whenever its backlog crosses the
-//! high-water mark and again whenever the owner publishes surplus, and
-//! the steal-at-most-half policy is enforced twice: the owner publishes
-//! at most half its backlog, and one steal call takes at most half the
-//! published buffer. The `stolen` counter feeds the reconciliation
-//! invariant that cross-checks against the thieves' own accounting.
-//!
-//! [`wait_work`]: ShardQueue::wait_work
+//! The queue is also the worker's *wakeup channel*: it is **bound** to
+//! its shard's [`WakeSet`](crate::wake::WakeSet), and pushes, kicks and
+//! stop all signal the set (after the state change is observable).
+//! [`ShardQueue::kick`] wakes the worker without enqueueing anything
+//! (used when a new connection is assigned to the shard). When work
+//! stealing is enabled the queue rings sibling *steal bells* whenever
+//! its backlog crosses the high-water mark and again whenever the owner
+//! publishes surplus, and the steal-at-most-half policy is enforced
+//! twice: the owner publishes at most half its backlog, and one steal
+//! call takes at most half the published buffer. The `stolen` counter
+//! feeds the reconciliation invariant that cross-checks against the
+//! thieves' own accounting.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use sdrad::ClientId;
@@ -229,19 +222,8 @@ impl std::fmt::Debug for Ticket {
     }
 }
 
-/// One wakeup's worth of work handed to a worker.
-#[derive(Debug)]
-pub struct WorkBatch {
-    /// Requests popped from the queue (possibly empty on a kick, a
-    /// timeout, or shutdown).
-    pub requests: Vec<Request>,
-    /// Whether the queue has been stopped (the worker exits once it has
-    /// also drained its connections).
-    pub stopped: bool,
-}
-
 /// A bounded MPSC queue feeding exactly one worker, with a lock-free
-/// steal buffer idle siblings [`steal`](Self::steal) from.
+/// steal buffer idle siblings [`steal_where`](Self::steal_where) from.
 pub struct ShardQueue {
     /// Lock-free submission inbox: external submits and routed batches.
     inbox: MpscQueue<Request>,
@@ -258,22 +240,13 @@ pub struct ShardQueue {
     routed_pending: AtomicUsize,
     routed_cap: usize,
     stopped: AtomicBool,
-    /// Set by [`ShardQueue::kick`]: wake the worker once even with an
-    /// empty queue (new connection assigned, go adopt it).
-    kicked: AtomicBool,
     shed: AtomicU64,
     submitted: AtomicU64,
     stolen: AtomicU64,
     routed: AtomicU64,
     routed_rejections: AtomicU64,
     shed_latency: Mutex<LatencyHistogram>,
-    /// Cold-path blocking for [`wait_work`](Self::wait_work): producers
-    /// take this lock only when `sleepers` says somebody registered.
-    sleeper: Mutex<()>,
-    available: Condvar,
-    sleepers: AtomicUsize,
-    /// The shard's wake set, bound once at runtime start under
-    /// event-driven scheduling; empty under polling.
+    /// The shard's wake set, bound once at runtime start.
     wakes: OnceLock<Arc<WakeSet>>,
     /// Sibling wake sets to ring when the backlog crosses
     /// `steal_watermark` or surplus is published; wired only when work
@@ -296,16 +269,12 @@ impl ShardQueue {
             routed_pending: AtomicUsize::new(0),
             routed_cap: capacity.saturating_mul(4).max(16),
             stopped: AtomicBool::new(false),
-            kicked: AtomicBool::new(false),
             shed: AtomicU64::new(0),
             submitted: AtomicU64::new(0),
             stolen: AtomicU64::new(0),
             routed: AtomicU64::new(0),
             routed_rejections: AtomicU64::new(0),
             shed_latency: Mutex::new(LatencyHistogram::new()),
-            sleeper: Mutex::new(()),
-            available: Condvar::new(),
-            sleepers: AtomicUsize::new(0),
             wakes: OnceLock::new(),
             steal_bells: OnceLock::new(),
             steal_watermark: AtomicUsize::new(usize::MAX),
@@ -353,16 +322,6 @@ impl ShardQueue {
             return;
         }
         self.ring_steal_bell();
-    }
-
-    /// Wakes a `wait_work` sleeper, if one has registered. Producers pay
-    /// one atomic load on the fast path; the lock round-trip happens
-    /// only when somebody is actually asleep.
-    fn notify_sleeper(&self) {
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            let _guard = self.sleeper.lock().expect("sleeper lock");
-            self.available.notify_all();
-        }
     }
 
     fn shed_request(&self, request: &Request) -> bool {
@@ -423,7 +382,6 @@ impl ShardQueue {
             Ok(()) => {
                 self.submitted.fetch_add(1, Ordering::Relaxed);
                 let backlog = self.len();
-                self.notify_sleeper();
                 self.signal_wakeset();
                 self.maybe_ring_steal_bell(backlog);
                 return true;
@@ -442,18 +400,13 @@ impl ShardQueue {
     /// [published](Self::drain_publishing) is reachable, which is what
     /// makes a steal storm unable to stall the owner's drain. The count
     /// is recorded in [`stolen`](Self::stolen) for reconciliation.
-    pub fn steal(&self, max: usize) -> Vec<Request> {
-        self.steal_where(max, |_| true)
-    }
-
-    /// [`steal`](Self::steal) with a predicate: only requests for which
-    /// `stealable` holds are lifted. The publisher applies the same
-    /// classification when it publishes, so in steady state every
-    /// buffered request passes; a request that does not (e.g. a policy
-    /// raced a reconfiguration) is returned to the shard — to the inbox
-    /// when it is open, else back into the buffer — never dropped.
-    /// Owner-routed frames are never published and therefore never
-    /// stealable.
+    ///
+    /// Only requests for which `stealable` holds are lifted. The
+    /// publisher applies the same classification when it publishes, so
+    /// in steady state every buffered request passes; a request that
+    /// does not is returned to the shard — to the inbox when it is
+    /// open, else back into the buffer — never dropped. Owner-routed
+    /// frames are never published and therefore never stealable.
     pub fn steal_where(&self, max: usize, stealable: impl Fn(&Request) -> bool) -> Vec<Request> {
         let occupancy = self.buffer.len();
         if occupancy == 0 {
@@ -490,7 +443,6 @@ impl ShardQueue {
                     std::thread::yield_now();
                 }
             }
-            self.notify_sleeper();
             self.signal_wakeset();
         }
         batch
@@ -554,7 +506,6 @@ impl ShardQueue {
         match self.inbox.push_batch(requests) {
             Ok(()) => {
                 self.routed.fetch_add(count as u64, Ordering::Relaxed);
-                self.notify_sleeper();
                 self.signal_wakeset();
                 Ok(count as u64)
             }
@@ -653,71 +604,6 @@ impl ShardQueue {
         batch
     }
 
-    /// Waits for work: returns when requests are available, the queue is
-    /// [kicked](Self::kick) or [stopped](Self::stop), or `timeout` (if
-    /// any) elapses. The batch may be empty — the caller distinguishes
-    /// "work", "go look at your connections" and "shutting down" via the
-    /// [`WorkBatch`] fields.
-    pub fn wait_work(&self, max: usize, timeout: Option<Duration>) -> WorkBatch {
-        let deadline = timeout.map(|limit| Instant::now() + limit);
-        let max = max.max(1);
-        loop {
-            let kicked = self.kicked.swap(false, Ordering::SeqCst);
-            let mut requests = Vec::new();
-            self.fill(&mut requests, max);
-            let stopped = self.stopped.load(Ordering::SeqCst);
-            if !requests.is_empty() || kicked || stopped {
-                return WorkBatch { requests, stopped };
-            }
-            if !self.is_empty() {
-                // A producer is mid-push (depth reserved, node not yet
-                // linked): the work is instants away, spin for it.
-                std::thread::yield_now();
-                continue;
-            }
-            let guard = self.sleeper.lock().expect("sleeper lock");
-            self.sleepers.fetch_add(1, Ordering::SeqCst);
-            // Re-check after registering: a producer that saw no
-            // sleeper has already made one of these true.
-            if !self.is_empty()
-                || self.kicked.load(Ordering::SeqCst)
-                || self.stopped.load(Ordering::SeqCst)
-            {
-                self.sleepers.fetch_sub(1, Ordering::SeqCst);
-                continue;
-            }
-            match deadline {
-                None => {
-                    let _guard = self.available.wait(guard).expect("queue wait");
-                    self.sleepers.fetch_sub(1, Ordering::SeqCst);
-                }
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        self.sleepers.fetch_sub(1, Ordering::SeqCst);
-                        self.kicked.store(false, Ordering::SeqCst);
-                        return WorkBatch {
-                            requests: Vec::new(),
-                            stopped: self.stopped.load(Ordering::SeqCst),
-                        };
-                    }
-                    let (_guard, result) = self
-                        .available
-                        .wait_timeout(guard, deadline - now)
-                        .expect("queue wait");
-                    self.sleepers.fetch_sub(1, Ordering::SeqCst);
-                    if result.timed_out() {
-                        self.kicked.store(false, Ordering::SeqCst);
-                        return WorkBatch {
-                            requests: Vec::new(),
-                            stopped: self.stopped.load(Ordering::SeqCst),
-                        };
-                    }
-                }
-            }
-        }
-    }
-
     /// Pops up to `max` pending requests without blocking.
     pub fn try_drain(&self, max: usize) -> Vec<Request> {
         let mut requests = Vec::new();
@@ -725,36 +611,9 @@ impl ShardQueue {
         requests
     }
 
-    /// Pops up to `max` requests, blocking while the queue is empty and
-    /// running. Returns `None` once the queue is stopped **and** fully
-    /// drained — the signal to exit for workers with no connections.
-    pub fn pop_batch(&self, max: usize) -> Option<Vec<Request>> {
-        loop {
-            let batch = self.wait_work(max, None);
-            if !batch.requests.is_empty() {
-                return Some(batch.requests);
-            }
-            if batch.stopped {
-                if !self.is_empty() {
-                    // A push that raced the stop is still landing (its
-                    // depth reservation is visible, its node not yet);
-                    // stay and drain it.
-                    std::thread::yield_now();
-                    continue;
-                }
-                return None;
-            }
-            // Spurious kick with nothing queued: keep waiting.
-        }
-    }
-
     /// Wakes the worker without enqueueing a request (e.g. a connection
     /// was just assigned to this shard).
     pub fn kick(&self) {
-        self.kicked.store(true, Ordering::SeqCst);
-        let _guard = self.sleeper.lock().expect("sleeper lock");
-        self.available.notify_all();
-        drop(_guard);
         self.signal_wakeset();
     }
 
@@ -763,9 +622,6 @@ impl ShardQueue {
     pub fn stop(&self) {
         self.stopped.store(true, Ordering::SeqCst);
         self.inbox.close();
-        let guard = self.sleeper.lock().expect("sleeper lock");
-        self.available.notify_all();
-        drop(guard);
         if let Some(wakes) = self.wakes.get() {
             wakes.stop();
         }
@@ -837,7 +693,7 @@ mod tests {
         for i in 0..5 {
             assert!(queue.try_push(request(i)));
         }
-        let batch = queue.pop_batch(16).unwrap();
+        let batch = queue.try_drain(16);
         let clients: Vec<u64> = batch.iter().map(|r| r.client.0).collect();
         assert_eq!(clients, vec![0, 1, 2, 3, 4]);
     }
@@ -859,7 +715,7 @@ mod tests {
         for i in 0..10 {
             queue.try_push(request(i));
         }
-        assert_eq!(queue.pop_batch(4).unwrap().len(), 4);
+        assert_eq!(queue.try_drain(4).len(), 4);
         assert_eq!(queue.len(), 6);
     }
 
@@ -869,30 +725,8 @@ mod tests {
         queue.try_push(request(1));
         queue.stop();
         assert!(!queue.try_push(request(2)), "stopped queue sheds");
-        assert_eq!(queue.pop_batch(8).unwrap().len(), 1, "drain continues");
-        assert!(queue.pop_batch(8).is_none(), "then the worker exits");
-    }
-
-    #[test]
-    fn kick_wakes_an_empty_wait() {
-        let queue = Arc::new(ShardQueue::new(4));
-        let waiter = Arc::clone(&queue);
-        let handle = std::thread::spawn(move || waiter.wait_work(8, None));
-        std::thread::sleep(Duration::from_millis(5));
-        queue.kick();
-        let batch = handle.join().unwrap();
-        assert!(batch.requests.is_empty());
-        assert!(!batch.stopped, "kick is not shutdown");
-    }
-
-    #[test]
-    fn wait_work_times_out_with_empty_batch() {
-        let queue = ShardQueue::new(4);
-        let started = Instant::now();
-        let batch = queue.wait_work(8, Some(Duration::from_millis(2)));
-        assert!(batch.requests.is_empty());
-        assert!(!batch.stopped);
-        assert!(started.elapsed() >= Duration::from_millis(2));
+        assert_eq!(queue.try_drain(8).len(), 1, "drain continues");
+        assert!(queue.is_empty(), "then the worker exits");
     }
 
     #[test]
@@ -916,16 +750,19 @@ mod tests {
 
         // Surplus was 8 → at most 4 published; a thief takes at most
         // half the buffer per call.
-        let first = queue.steal(64);
+        let first = queue.steal_where(64, |_| true);
         let clients: Vec<u64> = first.iter().map(|r| r.client.0).collect();
         assert_eq!(clients, vec![2, 3], "half of the published surplus");
-        assert_eq!(queue.steal(64).len(), 1, "ceil(2/2)");
-        assert_eq!(queue.steal(64).len(), 1);
-        assert!(queue.steal(64).is_empty(), "buffer exhausted");
+        assert_eq!(queue.steal_where(64, |_| true).len(), 1, "ceil(2/2)");
+        assert_eq!(queue.steal_where(64, |_| true).len(), 1);
+        assert!(
+            queue.steal_where(64, |_| true).is_empty(),
+            "buffer exhausted"
+        );
         assert_eq!(queue.stolen(), 4);
 
         // What was never published stays with the owner, in order.
-        let rest = queue.pop_batch(16).unwrap();
+        let rest = queue.try_drain(16);
         let clients: Vec<u64> = rest.iter().map(|r| r.client.0).collect();
         assert_eq!(clients, vec![6, 7, 8, 9]);
         assert!(queue.is_empty());
@@ -957,7 +794,7 @@ mod tests {
         // Only even clients are "read-only" in this toy classification:
         // odd ones must stay in the owner's batch, never the buffer.
         let own = queue.drain_publishing(2, |r| r.client.0 % 2 == 0);
-        let stolen = queue.steal(64);
+        let stolen = queue.steal_where(64, |_| true);
         assert!(stolen.iter().all(|r| r.client.0 % 2 == 0));
         assert!(own.iter().chain(stolen.iter()).count() <= 10);
         // Everything is eventually claimed exactly once.

@@ -7,7 +7,6 @@ use std::time::{Duration, Instant};
 
 use sdrad::ClientId;
 use sdrad_control::ControlConfig;
-use sdrad_energy::decisions::RungModels;
 use sdrad_energy::power::PowerModel;
 use sdrad_energy::restart::RestartModel;
 use sdrad_net::Endpoint;
@@ -26,82 +25,6 @@ use crate::stats::{LiveCounters, RuntimeStats, StatsSnapshot, TelemetryReport};
 use crate::wake::WakeSet;
 use crate::worker::{ShardView, Worker};
 
-/// How workers learn that work arrived.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Scheduling {
-    /// Readiness-driven (the default): workers park indefinitely on a
-    /// per-shard [`WakeSet`](crate::wake::WakeSet) fed by queue pushes,
-    /// connection readiness callbacks and steal hints. An idle runtime
-    /// performs **zero** periodic connection polls.
-    #[default]
-    EventDriven,
-    /// The legacy poll loop: workers with live connections re-poll them
-    /// every `CONN_POLL` (200µs) even when nothing arrives. Kept as the
-    /// measurable baseline — `e17_event_driven` prices exactly this
-    /// waste.
-    Polling,
-}
-
-/// Whether — and how deep — an idle worker steals work from loaded
-/// siblings ([`RuntimeConfig::work_stealing`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StealPolicy {
-    /// No stealing (the default): every request runs on its client's
-    /// sticky shard. The safe choice for any workload.
-    #[default]
-    Disabled,
-    /// Queue-only stealing: an idle worker takes up to half the
-    /// most-loaded sibling queue's pre-framed requests and executes
-    /// them against its *own* shard state, classification-blind.
-    /// Connections never move. Only sound for workloads whose
-    /// queue-path requests are shard-agnostic (uniform or stateless
-    /// mixes, load generation) — a stolen mutation lands on the wrong
-    /// shard's state ([`WorkerStats::thief_mutations`] counts exactly
-    /// that hazard).
-    ///
-    /// [`WorkerStats::thief_mutations`]: crate::WorkerStats::thief_mutations
-    Queue,
-    /// The deep policy: queue stealing **plus** framing-complete
-    /// requests lifted directly off sibling *connection buffers*
-    /// (through each connection's shared tray; the endpoint — readiness
-    /// callbacks, lifecycle, stats — never moves), made safe for
-    /// shard-stateful handlers by classification
-    /// ([`SessionHandler::steal_class`]): read-only requests execute on
-    /// the thief, **mutations are routed back to the owner shard** as
-    /// owner-routed submissions whose responses are written to the
-    /// connection in frame order. Queue steals are classification-
-    /// filtered too, so state never mutates off its owner shard.
-    ///
-    /// [`SessionHandler::steal_class`]: crate::SessionHandler::steal_class
-    Deep,
-}
-
-impl StealPolicy {
-    /// Whether any stealing happens under this policy.
-    #[must_use]
-    pub fn is_enabled(self) -> bool {
-        self != StealPolicy::Disabled
-    }
-}
-
-/// How a worker executes the control ladder's pool-rebuild rung
-/// ([`RuntimeConfig::rebuild`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RebuildMode {
-    /// Stop-the-world: every pooled domain is torn down inside the
-    /// serving path, and the rung's modeled teardown window is
-    /// physically waited out before the next request — the latency
-    /// spike `e23_zero_pause_rebuild` prices.
-    Synchronous,
-    /// Publish-and-retire (the default): a fresh pool is published in
-    /// pointer-scale time, the old one is retired, and its domains are
-    /// torn down a few per pump pass. No request ever waits behind a
-    /// rebuild; the same total work is billed as amortized reclamation
-    /// time instead of pause time.
-    #[default]
-    Deferred,
-}
-
 /// Configuration of one runtime instance.
 #[derive(Debug, Clone, Copy)]
 pub struct RuntimeConfig {
@@ -119,25 +42,26 @@ pub struct RuntimeConfig {
     pub domain_heap: usize,
     /// Recovery-cost model charged per baseline crash.
     pub restart: RestartModel,
-    /// How workers learn that work arrived (default: event-driven).
-    pub scheduling: Scheduling,
     /// Per-connection read budget: at most this many framed requests
     /// are served off one connection per pump rotation before the
     /// worker moves on — one noisy pipelining client cannot monopolise
     /// a worker.
     pub conn_read_budget: usize,
-    /// Whether — and how deep — an idle worker steals work from loaded
-    /// siblings. Connections always stay sticky to their owner shard
-    /// (domain affinity); what moves depends on the policy: nothing
-    /// ([`StealPolicy::Disabled`], the default), pre-framed queue items
-    /// ([`StealPolicy::Queue`]), or queue items plus framing-complete
-    /// requests off sibling connection buffers with owner-routed
-    /// mutations ([`StealPolicy::Deep`]).
-    pub work_stealing: StealPolicy,
+    /// Whether an idle worker steals work from loaded siblings (default:
+    /// off — every request runs on its client's sticky shard).
+    /// Connections never move (domain affinity); what moves is read-only
+    /// pre-framed queue items and framing-complete requests lifted off
+    /// sibling connection buffers. Classification
+    /// ([`SessionHandler::steal_class`](crate::SessionHandler::steal_class))
+    /// keeps it safe for shard-stateful handlers: read-only requests
+    /// execute on the thief, **mutations are routed back to the owner
+    /// shard** with responses written in frame order, so state never
+    /// mutates off its owner shard.
+    pub work_stealing: bool,
     /// Close connections that made no progress for this many pump
     /// passes (`None` disables the reaper). Passes advance once per
-    /// wake/poll tick, so a fully idle event-driven runtime — which by
-    /// design never ticks — reaps nothing and spends nothing.
+    /// wake, so a fully idle runtime — which by design never wakes —
+    /// reaps nothing and spends nothing.
     pub idle_reap_after: Option<u64>,
     /// The adaptive control plane (`None` = the static reflexes:
     /// bounded-queue shedding, rewind-only recovery). When set, the
@@ -152,17 +76,6 @@ pub struct RuntimeConfig {
     ///
     /// [`RuntimeStats::control`]: crate::RuntimeStats::control
     pub control: Option<ControlConfig>,
-    /// How the control ladder's pool-rebuild rung executes (default:
-    /// [`RebuildMode::Deferred`], the zero-pause publish-and-retire
-    /// lifecycle). Also selects the matching billing models, so the
-    /// energy report prices whichever variant actually ran.
-    pub rebuild: RebuildMode,
-    /// Whether worker threads recycle frame buffers through their
-    /// thread-local arenas (default: on). Off makes every
-    /// [`FrameBuf`](sdrad_nolock::FrameBuf) acquire a fresh detached
-    /// heap `Vec` — the identical code path minus reuse, which is what
-    /// `e22_alloc_discipline` measures the arena against.
-    pub frame_pooling: bool,
     /// The flight recorder ([`TelemetryConfig::Off`] by default). When
     /// enabled, every worker records structured trace events into its
     /// own lock-free SPSC ring (the dispatcher and control plane get
@@ -202,13 +115,10 @@ impl RuntimeConfig {
             domains_per_worker: 8,
             domain_heap: 1 << 20,
             restart: RestartModel::process_restart(),
-            scheduling: Scheduling::EventDriven,
             conn_read_budget: 32,
-            work_stealing: StealPolicy::Disabled,
+            work_stealing: false,
             idle_reap_after: None,
             control: None,
-            rebuild: RebuildMode::default(),
-            frame_pooling: true,
             telemetry: TelemetryConfig::Off,
             streaming: None,
         }
@@ -415,7 +325,6 @@ impl std::fmt::Debug for Dispatcher {
 pub struct Runtime {
     dispatcher: Dispatcher,
     wakesets: Vec<Arc<WakeSet>>,
-    scheduling: Scheduling,
     /// Runtime-wide activity counter, bumped on every wake signal — the
     /// quiesce barrier's evidence that its shard-by-shard idle
     /// observations were simultaneous.
@@ -495,26 +404,13 @@ impl Runtime {
             (Some(streaming), true) => Some(Arc::new(Collector::new(streaming))),
             _ => None,
         };
-        // The ladder's rung cost models follow the rebuild mode, so the
-        // energy bill prices the variant that actually runs: deferred
-        // rebuilds split into publish (pause) + reclamation (amortized).
-        let rung_models = match config.rebuild {
-            RebuildMode::Synchronous => RungModels::calibrated(),
-            RebuildMode::Deferred => RungModels::calibrated().deferred(),
-        };
-        let hub = config.control.map(|control| {
-            Arc::new(ControlHub::new(
-                control,
-                rung_models,
-                workers - 1,
-                control_recorder,
-            ))
-        });
-        // One hazard domain for the whole runtime (deep stealing only):
-        // every shard's published read view retires through it, and
-        // shutdown reconciles its retire/reclaim books exactly.
-        let hazard =
-            (config.work_stealing == StealPolicy::Deep).then(|| Arc::new(HazardDomain::new()));
+        let hub = config
+            .control
+            .map(|control| Arc::new(ControlHub::new(control, workers - 1, control_recorder)));
+        // One hazard domain for the whole runtime (stealing only): every
+        // shard's published read view retires through it, and shutdown
+        // reconciles its retire/reclaim books exactly.
+        let hazard = config.work_stealing.then(|| Arc::new(HazardDomain::new()));
         let view_cells: Vec<Arc<Shared<ShardView>>> = hazard
             .as_ref()
             .map(|domain| {
@@ -538,22 +434,22 @@ impl Runtime {
             .collect();
         let wakesets: Vec<Arc<WakeSet>> = (0..workers).map(|_| Arc::new(WakeSet::new())).collect();
         let generation = Arc::new(AtomicU64::new(0));
+        let siblings = |index: usize| -> Vec<Arc<WakeSet>> {
+            (0..workers)
+                .filter(|&peer| peer != index)
+                .map(|peer| Arc::clone(&wakesets[peer]))
+                .collect()
+        };
         // Wire every wake source *before* any work can arrive: the
         // queue signals its own shard's set; with stealing on, it also
         // rings sibling bells once its backlog reaches one batch; and
         // every set bumps the runtime-wide generation the quiesce
         // barrier reads.
-        if config.scheduling == Scheduling::EventDriven {
-            for (index, queue) in queues.iter().enumerate() {
-                wakesets[index].bind_generation(Arc::clone(&generation));
-                queue.bind_wakeset(Arc::clone(&wakesets[index]));
-                if config.work_stealing.is_enabled() && workers > 1 {
-                    let bells: Vec<Arc<WakeSet>> = (0..workers)
-                        .filter(|&peer| peer != index)
-                        .map(|peer| Arc::clone(&wakesets[peer]))
-                        .collect();
-                    queue.set_steal_bells(bells, config.batch.max(1));
-                }
+        for (index, queue) in queues.iter().enumerate() {
+            wakesets[index].bind_generation(Arc::clone(&generation));
+            queue.bind_wakeset(Arc::clone(&wakesets[index]));
+            if config.work_stealing && workers > 1 {
+                queue.set_steal_bells(siblings(index), config.batch.max(1));
             }
         }
         let handles = (0..workers)
@@ -562,25 +458,17 @@ impl Runtime {
                 let inbox = Arc::clone(&inboxes[index]);
                 let wakes = Arc::clone(&wakesets[index]);
                 let registry = Arc::clone(&registries[index]);
-                let peers: Vec<Arc<ShardQueue>> = if config.work_stealing.is_enabled() {
-                    queues.iter().map(Arc::clone).collect()
+                let (peers, peer_registries) = if config.work_stealing {
+                    (
+                        queues.iter().map(Arc::clone).collect(),
+                        registries.iter().map(Arc::clone).collect(),
+                    )
                 } else {
-                    Vec::new()
+                    (Vec::new(), Vec::new())
                 };
-                let peer_registries: Vec<Arc<ConnRegistry>> =
-                    if config.work_stealing == StealPolicy::Deep {
-                        registries.iter().map(Arc::clone).collect()
-                    } else {
-                        Vec::new()
-                    };
-                let peer_wakes: Vec<Arc<WakeSet>> = if config.work_stealing.is_enabled() {
-                    (0..workers)
-                        .filter(|&peer| peer != index)
-                        .map(|peer| Arc::clone(&wakesets[peer]))
-                        .collect()
-                } else {
-                    Vec::new()
-                };
+                // The stall witness is wired either way: a stealing-off
+                // runtime still counts the frames it strands.
+                let peer_wakes = siblings(index);
                 let factory = Arc::clone(&factory);
                 let hub = hub.clone();
                 let shared_generation = Arc::clone(&generation);
@@ -592,10 +480,10 @@ impl Runtime {
                 std::thread::Builder::new()
                     .name(format!("sdrad-worker-{index}"))
                     .spawn(move || {
-                        // Arm (or disarm) this thread's frame-buffer
-                        // arena before the handler exists, so every
-                        // pooled acquire on this worker obeys the config.
-                        sdrad_nolock::arena::set_thread_pooling(config.frame_pooling);
+                        // Arm this thread's frame-buffer arena before the
+                        // handler exists, so every acquire on this worker
+                        // recycles worker-local storage.
+                        sdrad_nolock::arena::set_thread_pooling(true);
                         let iso = WorkerIsolation::new(
                             config.isolation,
                             config.domains_per_worker,
@@ -634,7 +522,6 @@ impl Runtime {
                 attached: Arc::new(AtomicU64::new(0)),
             },
             wakesets,
-            scheduling: config.scheduling,
             generation,
             live,
             rings,
@@ -644,12 +531,6 @@ impl Runtime {
             handles,
             started: Instant::now(),
         }
-    }
-
-    /// The scheduling mode this runtime was started with.
-    #[must_use]
-    pub fn scheduling(&self) -> Scheduling {
-        self.scheduling
     }
 
     /// Connections handled by the dispatcher so far (attached to a
@@ -679,15 +560,9 @@ impl Runtime {
     ///
     /// On success, every connection byte written before the call has
     /// been fully served and every cross-shard hand-off (steal or
-    /// routed mutation) in flight at the time has landed.
-    ///
-    /// Only meaningful under [`Scheduling::EventDriven`] (polling
-    /// workers have no observable park state) — returns `false`
-    /// immediately otherwise, and on the (defensive) failsafe timeout.
+    /// routed mutation) in flight at the time has landed. Returns
+    /// `false` on the (defensive) failsafe timeout.
     pub fn quiesce(&self) -> bool {
-        if self.scheduling != Scheduling::EventDriven {
-            return false;
-        }
         // Each shard observation keeps the same per-shard failsafe the
         // one-by-one walk had; the whole barrier (walks plus generation
         // retries) gets a proportionally larger overall deadline so a
@@ -768,6 +643,15 @@ impl Runtime {
     /// allocate or fill). Returns whether the request was accepted.
     pub fn submit_detached(&self, client: ClientId, payload: Vec<u8>) -> bool {
         self.dispatcher.submit_detached(client, payload)
+    }
+
+    /// Times parked workers were woken by a signal so far (a live read
+    /// of every shard's wake set). Across a window the runtime sits
+    /// [quiesced](Self::quiesce) with nobody writing, it must not move:
+    /// wakeups track events, never time.
+    #[must_use]
+    pub fn wakeups(&self) -> u64 {
+        self.wakesets.iter().map(|wakes| wakes.wakeups()).sum()
     }
 
     /// Pending requests across all shards.
@@ -939,7 +823,6 @@ fn close_telemetry(
         .add(stats.domains_reclaimed());
     registry.counter("runtime.parks").add(stats.parks());
     registry.counter("runtime.wakeups").add(stats.wakeups());
-    registry.counter("runtime.polls").add(stats.polls());
     registry.counter("runtime.reaped").add(stats.reaped());
     registry.counter("runtime.rewind_ns").add(stats.rewind_ns());
     registry

@@ -154,7 +154,7 @@ pub struct RuntimeStats {
     pub control: Option<ControlReport>,
     /// The shared-read hazard domain's closed books (view objects
     /// retired, reclaimed and pending) — `None` unless the runtime ran
-    /// with [`StealPolicy::Deep`](crate::StealPolicy::Deep). After a
+    /// with [`work_stealing`](crate::RuntimeConfig::work_stealing). After a
     /// clean shutdown the conservation law `retired == reclaimed`
     /// (pending zero) must hold: the runtime drained the domain with
     /// no guards left alive.
@@ -218,24 +218,16 @@ impl RuntimeStats {
         self.workers.iter().map(|w| w.aborted_requests).sum()
     }
 
-    /// Times workers parked with nothing to do (event-driven mode).
+    /// Times workers parked with nothing to do.
     #[must_use]
     pub fn parks(&self) -> u64 {
         self.workers.iter().map(|w| w.parks).sum()
     }
 
-    /// Times parked workers were woken by a signal (event-driven mode).
+    /// Times parked workers were woken by a signal.
     #[must_use]
     pub fn wakeups(&self) -> u64 {
         self.workers.iter().map(|w| w.wakeups).sum()
-    }
-
-    /// Empty periodic connection polls across all workers — the wasted
-    /// passes the polling scheduler burns and the event-driven one
-    /// eliminates (zero by construction).
-    #[must_use]
-    pub fn polls(&self) -> u64 {
-        self.workers.iter().map(|w| w.polls).sum()
     }
 
     /// Requests served by a worker other than their shard's (work
@@ -246,7 +238,7 @@ impl RuntimeStats {
     }
 
     /// Framing-complete requests lifted off connection buffers and
-    /// served by thieves ([`StealPolicy::Deep`](crate::StealPolicy)).
+    /// served by thieves.
     #[must_use]
     pub fn conn_steals(&self) -> u64 {
         self.workers.iter().map(|w| w.conn_steals).sum()
@@ -265,9 +257,8 @@ impl RuntimeStats {
     }
 
     /// Stolen shard-state mutations executed on a thief — the
-    /// state-confinement violations classification-blind stealing
-    /// risks; always zero under
-    /// [`StealPolicy::Deep`](crate::StealPolicy).
+    /// state-confinement violations classified stealing rules out, so
+    /// any nonzero value is a bug surfaced.
     #[must_use]
     pub fn thief_mutations(&self) -> u64 {
         self.workers.iter().map(|w| w.thief_mutations).sum()

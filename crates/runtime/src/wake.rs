@@ -1,4 +1,4 @@
-//! The unified wake source behind event-driven scheduling.
+//! The unified wake source behind readiness-driven scheduling.
 //!
 //! Each shard owns one [`WakeSet`]: a condvar-backed signal register fed
 //! by every event source that can create work for the shard's worker —
@@ -40,7 +40,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Everything one [`WakeSet::wait`] return delivers to the worker.
+/// Everything one [`WakeSet::wait`] return delivers to the worker —
+/// the input of one worker pass. The shutdown drain builds its own:
+/// queue marked, every live token listed, `stopped` set.
 #[derive(Debug, Default)]
 pub(crate) struct WakeSignals {
     /// The shard queue was pushed to, kicked, or stopped: drain it and
@@ -49,7 +51,8 @@ pub(crate) struct WakeSignals {
     /// A sibling shard crossed its backlog high-water mark: try to
     /// steal.
     pub steal: bool,
-    /// Shutdown began.
+    /// Shutdown began (the pass skips the idle reaper: drain passes
+    /// are not idle time).
     pub stopped: bool,
     /// Connection tokens with observable new state (bytes or close),
     /// in token order.
@@ -98,7 +101,7 @@ impl WakeState {
 }
 
 /// One shard's condvar-backed signal register: the unified wake source
-/// behind [`Scheduling::EventDriven`](crate::Scheduling::EventDriven).
+/// behind readiness-driven scheduling.
 ///
 /// Workers park on their shard's set; queue pushes, connection
 /// readiness callbacks and sibling steal hints wake them. The public

@@ -15,43 +15,41 @@
 //!
 //! ## Scheduling
 //!
-//! Under [`Scheduling::EventDriven`] (the default) the worker parks
-//! indefinitely on its shard's [`WakeSet`]; queue pushes, connection
-//! readiness callbacks and sibling steal hints wake it. An idle worker
-//! burns **zero** CPU — no periodic connection polls — which is the
-//! whole point of judging resilience mechanisms by their energy
-//! footprint. Under [`Scheduling::Polling`] (kept as the measurable
-//! baseline and for single-threaded determinism) the worker re-polls
-//! its connections at the legacy [`CONN_POLL`] cadence, counting every
-//! empty pass in [`WorkerStats::polls`].
+//! The worker parks indefinitely on its shard's [`WakeSet`]; queue
+//! pushes, connection readiness callbacks and sibling steal hints wake
+//! it. An idle worker burns **zero** CPU — no periodic connection polls
+//! — which is the whole point of judging resilience mechanisms by their
+//! energy footprint.
 //!
-//! Either way, each pump pass is bounded by the per-connection **read
-//! budget** (`RuntimeConfig::conn_read_budget`): one noisy pipelining
-//! client gets at most that many framed requests served per rotation
-//! before the worker moves to the next ready connection.
+//! Every wake runs **one pass** ([`Worker::pass`]): control tick,
+//! telemetry flush, amortized domain teardown, read-view publish,
+//! connection adoption, the queue, every ready connection, the idle
+//! reaper and — when hinted or idle — stealing. The shutdown drain runs
+//! the same pass with the queue and every live connection marked ready
+//! until a pass makes no progress. Each pump is bounded by the
+//! per-connection **read budget** (`RuntimeConfig::conn_read_budget`):
+//! one noisy pipelining client gets at most that many framed requests
+//! served per rotation before the worker moves to the next ready
+//! connection.
 //!
 //! ## Work stealing
 //!
-//! With [`StealPolicy::Queue`] an otherwise-idle worker takes
-//! pre-framed requests (never connections, which stay sticky for domain
-//! affinity) off the most-loaded sibling queue. [`StealPolicy::Deep`]
-//! goes further: after the queues, a thief lifts **framing-complete
-//! requests off sibling connection buffers** (through the shared
-//! [`ConnTray`], never the endpoint itself), serving read-only frames
-//! with its own handler and routing shard-state **mutations back to the
-//! owner** as owner-routed queue submissions — the state-confinement
-//! rule that makes stealing safe for shard-stateful handlers. Response
-//! order per connection is preserved by the tray lock plus the
-//! routed-inflight gate. Every budget deferral that leaves complete
-//! frames behind while a sibling sits parked is counted as a
-//! **stranded-request stall** ([`WorkerStats::stranded_stalls`]), the
-//! capacity waste deep stealing exists to eliminate.
+//! With [`RuntimeConfig::work_stealing`] on, an otherwise-idle worker
+//! takes read-only pre-framed requests (never connections, which stay
+//! sticky for domain affinity) off the most-loaded sibling queue, then
+//! lifts **framing-complete requests off sibling connection buffers**
+//! (through the shared [`ConnTray`], never the endpoint itself),
+//! serving read-only frames with its own handler and routing
+//! shard-state **mutations back to the owner** as owner-routed queue
+//! submissions — the state-confinement rule that makes stealing safe
+//! for shard-stateful handlers. Response order per connection is
+//! preserved by the tray lock plus the routed-inflight gate. Every
+//! budget deferral that leaves complete frames behind while a sibling
+//! sits parked is counted as a **stranded-request stall**
+//! ([`WorkerStats::stranded_stalls`]) whether or not stealing is on —
+//! the capacity waste stealing exists to eliminate.
 //!
-//! [`Scheduling::EventDriven`]: crate::Scheduling::EventDriven
-//! [`Scheduling::Polling`]: crate::Scheduling::Polling
 //! [`WakeSet`]: crate::wake::WakeSet
-//! [`StealPolicy::Queue`]: crate::StealPolicy::Queue
-//! [`StealPolicy::Deep`]: crate::StealPolicy::Deep
 //! [`ConnTray`]: crate::server::ConnTray
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -69,15 +67,10 @@ use crate::control_hub::ControlHub;
 use crate::handler::{Framing, ReadView, Reply, SessionHandler, StealClass};
 use crate::isolation::WorkerIsolation;
 use crate::queue::{Completion, Disposition, Request, ShardQueue};
-use crate::runtime::{RebuildMode, RuntimeConfig, Scheduling, StealPolicy};
+use crate::runtime::RuntimeConfig;
 use crate::server::{ConnInbox, ConnRegistry, ConnTray, Connection, RoutedFrame};
 use crate::stats::LiveCounters;
-use crate::wake::WakeSet;
-
-/// How often a polling-mode worker that owns connections re-polls them
-/// while its queue is idle. Event-driven workers never use this: they
-/// park until a readiness callback fires.
-pub(crate) const CONN_POLL: Duration = Duration::from_micros(200);
+use crate::wake::{WakeSet, WakeSignals};
 
 /// Per-worker counters, returned when the worker exits.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -115,19 +108,14 @@ pub struct WorkerStats {
     /// Connections that disconnected with a half-received request still
     /// buffered (the bytes are discarded, the request never ran).
     pub aborted_requests: u64,
-    /// Times the worker parked with nothing to do (event-driven mode).
+    /// Times the worker parked with nothing to do.
     pub parks: u64,
-    /// Times a parked worker was woken by a signal (event-driven mode).
+    /// Times a parked worker was woken by a signal.
     pub wakeups: u64,
-    /// Empty periodic connection polls: passes over live connections
-    /// that found no bytes and no queue work (polling mode only — the
-    /// pure-waste CPU burn readiness scheduling eliminates).
-    pub polls: u64,
     /// Pre-framed requests this worker stole from sibling queues.
     pub steals: u64,
     /// Framing-complete requests this worker lifted off sibling
-    /// **connection buffers** and served itself
-    /// ([`StealPolicy::Deep`](crate::StealPolicy::Deep) only).
+    /// **connection buffers** and served itself.
     pub conn_steals: u64,
     /// Mutation frames this worker (as a thief) routed back to their
     /// owner shard instead of executing them.
@@ -137,9 +125,7 @@ pub struct WorkerStats {
     pub routed_served: u64,
     /// Stolen requests classified as shard-state mutations that this
     /// worker executed anyway — the state-confinement violation
-    /// [`StealPolicy::Deep`](crate::StealPolicy::Deep) drives to zero
-    /// (under [`StealPolicy::Queue`](crate::StealPolicy::Queue) it
-    /// counts the hazard of classification-blind stealing).
+    /// classified stealing rules out, kept as its detector.
     pub thief_mutations: u64,
     /// Stolen reads this worker (as a thief) answered from a victim's
     /// hazard-protected read view — i.e. against the **owner's live
@@ -162,8 +148,8 @@ pub struct WorkerStats {
     pub domains_pending: u64,
     /// Stranded-request stalls: budget deferrals that left
     /// framing-complete requests waiting in a connection buffer while
-    /// at least one sibling worker sat parked — capacity wasted by a
-    /// steal policy that cannot reach connection buffers.
+    /// at least one sibling worker sat parked — capacity stranded
+    /// behind the owner's read budget.
     ///
     /// The accounting is **exact**, not a racy instantaneous read: a
     /// sibling counts as parked only if it parked at a runtime
@@ -286,12 +272,12 @@ pub(crate) struct ShardChannels {
     /// victims. Empty when stealing is disabled.
     pub(crate) peers: Vec<Arc<ShardQueue>>,
     /// All shard connection registries (self included, skipped by
-    /// index) — the deep-steal victims. Empty unless the policy is
-    /// [`StealPolicy::Deep`](crate::StealPolicy::Deep).
+    /// index) — the connection-buffer steal victims. Empty when
+    /// stealing is disabled.
     pub(crate) peer_registries: Vec<Arc<ConnRegistry>>,
     /// Sibling wake sets (self excluded): parked-state observation for
-    /// the stall counter, and the bells a deferring owner rings so deep
-    /// thieves come help. Empty when stealing is disabled.
+    /// the stall counter (always wired), and — with stealing on — the
+    /// bells a deferring owner rings so thieves come help.
     pub(crate) peer_wakes: Vec<Arc<WakeSet>>,
     /// The runtime-wide signal generation counter — the witness the
     /// exact stranded-stall accounting reads (a sibling "sat parked"
@@ -307,12 +293,11 @@ pub(crate) struct ShardChannels {
     /// worker flushes its counters here once per pump pass.
     pub(crate) live: Arc<LiveCounters>,
     /// The runtime-wide hazard domain published read views retire
-    /// through (`Some` only under
-    /// [`StealPolicy::Deep`](crate::StealPolicy::Deep)).
+    /// through (`Some` only with stealing on).
     pub(crate) hazard: Option<Arc<HazardDomain>>,
     /// Every shard's published read view, **self included**, indexed by
     /// shard — hazard-protected so thieves read a victim's live shard
-    /// state without locks. Empty unless the policy is deep.
+    /// state without locks. Empty when stealing is disabled.
     pub(crate) view_cells: Vec<Arc<Shared<ShardView>>>,
     /// The streaming collector this worker ships delta frames to
     /// (`None` unless [`RuntimeConfig::streaming`] and the flight
@@ -366,9 +351,6 @@ pub struct Worker<H: SessionHandler> {
     /// read landed on a retired (reclaimed-and-stale) view — the
     /// use-after-free the hazard protocol exists to prevent.
     view_stamps: Vec<(u64, u64)>,
-    /// How the pool-rebuild rung executes: stop-the-world teardown or
-    /// publish-new/retire-old.
-    rebuild: RebuildMode,
     /// This worker's shard index as the event-field width.
     shard_u16: u16,
     /// Token-addressed connection slab; `None` slots are free.
@@ -379,8 +361,7 @@ pub struct Worker<H: SessionHandler> {
     restart_model: RestartModel,
     batch: usize,
     conn_budget: usize,
-    scheduling: Scheduling,
-    steal_policy: StealPolicy,
+    work_stealing: bool,
     idle_reap_after: Option<u64>,
     /// Pooled domains per worker (sizes the control plane's
     /// pool-rebuild bills).
@@ -390,7 +371,7 @@ pub struct Worker<H: SessionHandler> {
     pass_generation: u64,
     /// Round-robin cursor over `peer_wakes` for deferred-frame bells.
     next_bell: usize,
-    /// Monotonic pump-pass counter (one per wake / poll tick); the
+    /// Monotonic pump-pass counter (one per [`pass`](Self::pass)); the
     /// reaper measures connection idleness in these.
     pass: u64,
     stats: WorkerStats,
@@ -432,7 +413,6 @@ impl<H: SessionHandler> Worker<H> {
             flush_seq: 0,
             collector: channels.collector,
             published: None,
-            rebuild: config.rebuild,
             shard_u16: u16::try_from(index).unwrap_or(u16::MAX),
             conns: Vec::new(),
             free_tokens: Vec::new(),
@@ -441,8 +421,7 @@ impl<H: SessionHandler> Worker<H> {
             restart_model: config.restart,
             batch: config.batch.max(1),
             conn_budget: config.conn_read_budget.max(1),
-            scheduling: config.scheduling,
-            steal_policy: config.work_stealing,
+            work_stealing: config.work_stealing,
             idle_reap_after: config.idle_reap_after,
             domains_per_worker: u32::try_from(config.domains_per_worker).unwrap_or(u32::MAX),
             pass_generation: 0,
@@ -458,11 +437,47 @@ impl<H: SessionHandler> Worker<H> {
     /// Runs until the queue is stopped and drained and every connection
     /// byte that arrived has been served; returns the counters.
     pub fn run(mut self) -> WorkerStats {
-        match self.scheduling {
-            Scheduling::EventDriven => self.run_event(),
-            Scheduling::Polling => self.run_polling(),
+        // Serving: park on the wake set, run one pass per wake. No
+        // timeouts anywhere — an idle shard costs nothing.
+        loop {
+            self.flush_live();
+            self.recorder
+                .emit(EventKind::Park, self.shard_u16, 0, self.pass);
+            let signals = self.wakes.wait();
+            self.recorder
+                .emit(EventKind::Wake, self.shard_u16, 0, self.pass + 1);
+            let stopped = signals.stopped;
+            self.pass(signals);
+            if stopped {
+                break;
+            }
         }
-        self.drain();
+        // Shutdown drain: the queue sheds new submits now, but everything
+        // already accepted — queued requests, connection bytes already
+        // received, connections still in the inbox — is served before the
+        // worker exits. Each drain pass is a serving pass told that the
+        // queue and every live connection are ready; the drain ends when
+        // a pass makes no progress and nothing is left to claim.
+        loop {
+            let signals = WakeSignals {
+                queue: true,
+                steal: false,
+                stopped: true,
+                conns: (0..self.conns.len())
+                    .filter(|&token| self.conns[token].is_some())
+                    .collect(),
+            };
+            if self.pass(signals) || !self.queue.is_empty() || !self.inbox.is_empty() {
+                continue;
+            }
+            if !self.any_tray_gated() {
+                break;
+            }
+            // A thief is still serving an extracted run (or a routed
+            // response is still owed): the frames behind the gate are
+            // ours to serve — wait it out.
+            std::thread::yield_now();
+        }
         // Close the reclamation books: drain the deferred teardown
         // queue so a clean exit leaves nothing pending.
         while self.iso.reclaim_step(16) > 0 {}
@@ -483,176 +498,81 @@ impl<H: SessionHandler> Worker<H> {
         self.stats
     }
 
-    /// Event-driven serving: park on the wake set, run one pass per
-    /// wake. No timeouts anywhere — an idle shard costs nothing.
-    fn run_event(&mut self) {
-        loop {
-            self.flush_live();
-            self.recorder
-                .emit(EventKind::Park, self.shard_u16, 0, self.pass);
-            let signals = self.wakes.wait();
-            self.pass += 1;
-            self.recorder
-                .emit(EventKind::Wake, self.shard_u16, 0, self.pass);
-            // The stall-accounting witness: any sibling still parked at
-            // a generation ≤ this snapshot has provably sat idle for
-            // the whole pass (its park predates everything the pass
-            // serves or defers).
-            self.pass_generation = self.generation.load(Ordering::SeqCst);
-            if let Some(hub) = &self.control {
-                // The control loop's tick rides the wake machinery: one
-                // tick per pass, zero ticks while the shard is idle.
-                hub.tick();
-            }
-            // The streaming flush rides the same machinery: one delta
-            // frame per `flush_every` passes, zero while idle.
-            self.maybe_flush_telemetry();
-            // Amortized teardown: a couple of retired domains go per
-            // pass, so a deferred rebuild's cost never lands on one
-            // request. Cheap no-op when nothing is pending.
-            self.iso.reclaim_step(2);
-            self.maybe_publish_view();
-            let mut ready = signals.conns;
-            ready.extend(self.adopt_connections());
-
-            // Only a queue signal can mean queue work (pushes latch it
-            // until consumed), so conn-only wakes skip the queue drain.
-            let requests = if signals.queue {
-                self.drain_own_queue()
-            } else {
-                Vec::new()
-            };
-            let had_queue_work = !requests.is_empty();
-            if had_queue_work {
-                let started = Instant::now();
-                for request in requests {
-                    self.serve(request);
-                }
-                self.note_busy(started);
-                // A partial drain leaves a remainder: come straight
-                // back (after this pass) instead of parking on it.
-                if !self.queue.is_empty() {
-                    self.queue.kick();
-                }
-            }
-
-            let mut pumped = false;
-            for &token in &ready {
-                let outcome = self.pump_token(token);
-                pumped |= outcome.progressed;
-                if outcome.more {
-                    // Budget exhausted: requeue the token behind the
-                    // other ready connections (per-connection fairness),
-                    // and note the deferral — complete frames are now
-                    // stranded in this buffer, which an idle sibling
-                    // could be serving.
-                    self.note_deferred_frames();
-                    self.wakes.mark_conn(token);
-                }
-            }
-            // The token vector's capacity cycles back into the wake set
-            // rather than being reallocated next pass.
-            self.wakes.recycle_conns(ready);
-            self.reap_idle();
-
-            if signals.steal || (!had_queue_work && !pumped && !signals.stopped) {
-                self.try_steal();
-            }
-            if signals.stopped {
-                break;
-            }
+    /// One worker step over what `signals` marks ready: control tick,
+    /// telemetry flush, amortized teardown and read-view publish, then
+    /// connection adoption, the queue (on a queue signal), every ready
+    /// connection (budgeted), the idle reaper (skipped once `stopped`:
+    /// drain passes are not idle time) and — on a steal hint, or when
+    /// the pass found nothing to do before shutdown — stealing. Returns
+    /// whether it served queue work or made progress on a connection.
+    fn pass(&mut self, signals: WakeSignals) -> bool {
+        self.pass += 1;
+        // The stall-accounting witness: any sibling still parked at a
+        // generation ≤ this snapshot has provably sat idle for the whole
+        // pass (its park predates everything the pass serves or
+        // defers).
+        self.pass_generation = self.generation.load(Ordering::SeqCst);
+        if let Some(hub) = &self.control {
+            // The control loop's tick rides the wake machinery: one tick
+            // per pass, zero ticks while the shard is idle.
+            hub.tick();
         }
-    }
+        // The streaming flush rides the same machinery: one delta frame
+        // per `flush_every` passes, zero while idle.
+        self.maybe_flush_telemetry();
+        // Amortized teardown: a couple of retired domains go per pass,
+        // so a rebuild's cost never lands on one request. Cheap no-op
+        // when nothing is pending.
+        self.iso.reclaim_step(2);
+        self.maybe_publish_view();
+        let mut ready = signals.conns;
+        ready.extend(self.adopt_connections());
 
-    /// Legacy polling loop: the measurable baseline e17 compares
-    /// against. Workers with live connections re-poll at [`CONN_POLL`];
-    /// every empty pass is counted in [`WorkerStats::polls`].
-    fn run_polling(&mut self) {
-        loop {
-            self.flush_live();
-            self.pass += 1;
-            self.maybe_flush_telemetry();
-            self.iso.reclaim_step(2);
-            self.maybe_publish_view();
-            self.adopt_connections();
-            let pumped = self.pump_live_connections();
-            self.reap_idle();
-            // Workers with live connections poll; workers without park on
-            // the queue until a submit, a kick (new connection) or stop.
-            let timeout = if self.live_connections() == 0 {
-                None
-            } else {
-                Some(CONN_POLL)
-            };
-            let polling_conns = timeout.is_some();
-            let work = self.queue.wait_work(self.batch, timeout);
-            let mut had_queue_work = !work.requests.is_empty();
-            if had_queue_work {
-                let started = Instant::now();
-                for request in work.requests {
-                    self.serve(request);
-                }
-                self.note_busy(started);
-            }
-            if self.steal_policy != StealPolicy::Disabled && !self.queue.is_empty() {
-                // `wait_work` pops without publishing; a backlogged
-                // polling owner publishes its surplus here so siblings
-                // have a buffer to steal from.
-                let extra = self.drain_own_queue();
-                if !extra.is_empty() {
-                    had_queue_work = true;
-                    let started = Instant::now();
-                    for request in extra {
-                        self.serve(request);
-                    }
-                    self.note_busy(started);
-                }
-            }
-            if polling_conns && !pumped && !had_queue_work {
-                // The pure-waste tick: connections re-polled, nothing
-                // there, queue empty. This is what e17 prices.
-                self.stats.polls += 1;
-            }
-            if !pumped && !had_queue_work && !work.stopped {
-                self.try_steal();
-            }
-            if work.stopped {
-                break;
-            }
-        }
-    }
-
-    /// Shutdown drain: the queue sheds new submits now, but everything
-    /// already accepted — queued requests, connection bytes already
-    /// received, connections still in the inbox — is served before the
-    /// worker exits. The loop ends when a full pass makes no progress.
-    fn drain(&mut self) {
-        loop {
-            self.flush_live();
-            self.pass += 1;
-            self.iso.reclaim_step(2);
-            self.adopt_connections();
-            let queued = self.queue.try_drain(self.batch);
-            let drained_queue = !queued.is_empty();
+        // Only a queue signal can mean queue work (pushes latch it until
+        // consumed), so conn-only wakes skip the queue drain.
+        let requests = if signals.queue {
+            self.drain_own_queue()
+        } else {
+            Vec::new()
+        };
+        let had_queue_work = !requests.is_empty();
+        if had_queue_work {
             let started = Instant::now();
-            for request in queued {
+            for request in requests {
                 self.serve(request);
             }
-            if drained_queue {
-                self.note_busy(started);
-            }
-            let pumped = self.pump_live_connections();
-            if !drained_queue && !pumped && self.queue.is_empty() && self.inbox.is_empty() {
-                if self.any_tray_gated() {
-                    // A thief is still serving an extracted run (or a
-                    // routed response is still owed): the frames behind
-                    // the gate are ours to serve — wait it out.
-                    std::thread::yield_now();
-                    continue;
-                }
-                break;
+            self.note_busy(started);
+            // A partial drain leaves a remainder: come straight back
+            // (after this pass) instead of parking on it.
+            if !self.queue.is_empty() {
+                self.queue.kick();
             }
         }
+
+        let mut pumped = false;
+        for &token in &ready {
+            let outcome = self.pump_token(token);
+            pumped |= outcome.progressed;
+            if outcome.more {
+                // Budget exhausted: requeue the token behind the other
+                // ready connections (per-connection fairness), and note
+                // the deferral — complete frames are now stranded in
+                // this buffer, which an idle sibling could be serving.
+                self.note_deferred_frames();
+                self.wakes.mark_conn(token);
+            }
+        }
+        // The token vector's capacity cycles back into the wake set
+        // rather than being reallocated next pass.
+        self.wakes.recycle_conns(ready);
+        if !signals.stopped {
+            self.reap_idle();
+        }
+
+        if signals.steal || (!had_queue_work && !pumped && !signals.stopped) {
+            self.try_steal();
+        }
+        had_queue_work || pumped
     }
 
     /// Whether any of this worker's connections is gated on in-flight
@@ -670,10 +590,10 @@ impl<H: SessionHandler> Worker<H> {
     }
 
     /// Moves connections newly assigned to this shard into the pump
-    /// set, allocating a token per connection. In event-driven mode the
-    /// endpoint's readiness callback is pointed at the shard's wake set
-    /// (firing immediately if bytes or a close already arrived, so no
-    /// pre-adoption edge is lost). Returns the new tokens.
+    /// set, allocating a token per connection. The endpoint's readiness
+    /// callback is pointed at the shard's wake set (firing immediately
+    /// if bytes or a close already arrived, so no pre-adoption edge is
+    /// lost). Returns the new tokens.
     fn adopt_connections(&mut self) -> Vec<usize> {
         let adopted = self.inbox.drain();
         self.stats.connections += adopted.len() as u64;
@@ -690,42 +610,13 @@ impl<H: SessionHandler> Worker<H> {
             // Thieves and routed completions re-wake this worker
             // through the tray once the owner is known.
             conn.tray.bind_owner(Arc::clone(&self.wakes), token);
-            if self.scheduling == Scheduling::EventDriven {
-                let wakes = Arc::clone(&self.wakes);
-                conn.endpoint
-                    .set_ready_callback(Arc::new(move || wakes.mark_conn(token)));
-            }
+            let wakes = Arc::clone(&self.wakes);
+            conn.endpoint
+                .set_ready_callback(Arc::new(move || wakes.mark_conn(token)));
             self.conns[token] = Some(conn);
             tokens.push(token);
         }
         tokens
-    }
-
-    /// Live (adopted, not yet retired) connections.
-    fn live_connections(&self) -> usize {
-        self.conns.iter().flatten().count()
-    }
-
-    /// Pumps every live connection until no budget round leaves a
-    /// complete frame behind; returns whether any made progress. (The
-    /// polling and drain paths, which have no readiness tokens.)
-    fn pump_live_connections(&mut self) -> bool {
-        let mut progressed = false;
-        let mut pending: Vec<usize> = (0..self.conns.len())
-            .filter(|&t| self.conns[t].is_some())
-            .collect();
-        while !pending.is_empty() {
-            let mut again = Vec::new();
-            for token in pending {
-                let outcome = self.pump_token(token);
-                progressed |= outcome.progressed;
-                if outcome.more {
-                    again.push(token);
-                }
-            }
-            pending = again;
-        }
-        progressed
     }
 
     /// Pumps the connection behind `token` once (budgeted). Empty and
@@ -799,42 +690,36 @@ impl<H: SessionHandler> Worker<H> {
         }
     }
 
-    /// Steals work from loaded siblings: first a batch of pre-framed
-    /// requests off the most-loaded sibling queue, then — under
-    /// [`StealPolicy::Deep`](crate::StealPolicy::Deep) — framing-complete
-    /// requests directly off sibling connection buffers. Connections
-    /// never move; under the deep policy queue steals are filtered to
-    /// read-only requests so shard-state mutations stay with the state
-    /// they touch.
     /// Drains up to one batch from the owned queue, publishing surplus
-    /// into the shard's steal buffer when stealing is enabled. Under
-    /// the deep policy only read-only requests are published — the
-    /// same classification `steal_where` enforces — so thieves popping
-    /// the buffer never race the owner's inbox cursor.
+    /// into the shard's steal buffer when stealing is enabled. Only
+    /// read-only requests are published — the same classification
+    /// `steal_where` enforces — so thieves popping the buffer never
+    /// race the owner's inbox cursor.
     fn drain_own_queue(&mut self) -> Vec<Request> {
-        match self.steal_policy {
-            StealPolicy::Disabled => self.queue.try_drain(self.batch),
-            StealPolicy::Queue => self.queue.drain_publishing(self.batch, |_| true),
-            StealPolicy::Deep => {
-                let handler = &self.handler;
-                self.queue.drain_publishing(self.batch, |request| {
-                    handler.steal_class(&request.payload) == StealClass::ReadOnly
-                })
-            }
+        if !self.work_stealing {
+            return self.queue.try_drain(self.batch);
         }
+        let handler = &self.handler;
+        self.queue.drain_publishing(self.batch, |request| {
+            handler.steal_class(&request.payload) == StealClass::ReadOnly
+        })
     }
 
+    /// Steals work from loaded siblings: first a batch of read-only
+    /// pre-framed requests off the most-loaded sibling queue, then
+    /// framing-complete requests directly off sibling connection
+    /// buffers. Connections never move, and queue steals are filtered
+    /// to read-only requests so shard-state mutations stay with the
+    /// state they touch.
     fn try_steal(&mut self) {
-        if self.steal_policy == StealPolicy::Disabled || self.peers.is_empty() {
+        if !self.work_stealing {
             return;
         }
         self.steal_queue_items();
-        if self.steal_policy == StealPolicy::Deep {
-            self.steal_conn_buffers();
-        }
+        self.steal_conn_buffers();
     }
 
-    /// The queue half of stealing (both policies).
+    /// The queue half of stealing.
     fn steal_queue_items(&mut self) {
         let victim = self
             .peers
@@ -849,19 +734,12 @@ impl<H: SessionHandler> Worker<H> {
         if backlog == 0 {
             return;
         }
-        // `try_steal` guards `Disabled`, so only two policies reach here.
-        let stolen = if self.steal_policy == StealPolicy::Deep {
-            // Classification-aware: only read-only requests leave the
-            // owner; mutations keep their queue positions.
-            let handler = &self.handler;
-            victim.steal_where(self.batch, |request| {
-                handler.steal_class(&request.payload) == StealClass::ReadOnly
-            })
-        } else {
-            // Classification-blind: the PR3 contract — the caller
-            // promised a shard-agnostic queue mix.
-            victim.steal(self.batch)
-        };
+        // Classification-aware: only read-only requests leave the owner;
+        // mutations keep their queue positions.
+        let handler = &self.handler;
+        let stolen = victim.steal_where(self.batch, |request| {
+            handler.steal_class(&request.payload) == StealClass::ReadOnly
+        });
         if stolen.is_empty() {
             return;
         }
@@ -877,8 +755,8 @@ impl<H: SessionHandler> Worker<H> {
         let started = Instant::now();
         for request in stolen {
             if self.handler.steal_class(&request.payload) == StealClass::Mutation {
-                // Only reachable under the classification-blind policy:
-                // the hazard counter e18 contrasts against Deep's zero.
+                // Unreachable while the classification holds: the
+                // state-confinement detector e18 gates at zero.
                 self.stats.thief_mutations += 1;
             }
             self.serve(request);
@@ -891,7 +769,7 @@ impl<H: SessionHandler> Worker<H> {
         }
     }
 
-    /// The connection half of deep stealing: scan sibling registries
+    /// The connection half of stealing: scan sibling registries
     /// (most loaded first) and lift framing-complete requests off their
     /// trays — deepest-staged tray first — up to one batch per wake.
     /// Concurrent thieves aiming at the same deep tray fan out through
@@ -1193,9 +1071,9 @@ impl<H: SessionHandler> Worker<H> {
     }
 
     /// Counts a budget deferral that stranded complete frames while a
-    /// sibling sat parked, and — under the deep policy — rings a
-    /// sibling's bell so the stranded frames get stolen instead of
-    /// waiting for this worker to come back around.
+    /// sibling sat parked, and — with stealing on — rings a sibling's
+    /// bell so the stranded frames get stolen instead of waiting for
+    /// this worker to come back around.
     ///
     /// The stall accounting is exact: a sibling counts only if
     /// [`WakeSet::parked_since`] proves it parked at a generation no
@@ -1216,7 +1094,7 @@ impl<H: SessionHandler> Worker<H> {
         }) {
             self.stats.stranded_stalls += 1;
         }
-        if self.steal_policy == StealPolicy::Deep {
+        if self.work_stealing {
             let pick = self.next_bell % self.peer_wakes.len();
             self.next_bell = self.next_bell.wrapping_add(1);
             self.peer_wakes[pick].hint_steal();
@@ -1520,29 +1398,11 @@ impl<H: SessionHandler> Worker<H> {
                 self.stats.ladder_rewinds += 1;
             }
             Some(RecoveryRung::PoolRebuild) => {
-                match self.rebuild {
-                    // Zero-pause rung: publish a fresh pool, retire the
-                    // old one; teardown is amortized over later passes
-                    // by `reclaim_step` and billed as reclamation time
-                    // by the (deferred) rung models.
-                    RebuildMode::Deferred => self.iso.rebuild_pool_deferred(),
-                    RebuildMode::Synchronous => {
-                        self.iso.rebuild_pool();
-                        // Make the modeled stop-the-world window
-                        // physical: every request behind this one on
-                        // the shard really waits it out — the pause
-                        // e23 prices against publish-and-retire.
-                        let pause = hub.rung_models().time_of(
-                            RecoveryRung::PoolRebuild,
-                            0,
-                            self.domains_per_worker,
-                        );
-                        let started = Instant::now();
-                        while started.elapsed() < pause {
-                            std::hint::spin_loop();
-                        }
-                    }
-                }
+                // Zero-pause rung: publish a fresh pool, retire the old
+                // one; teardown is amortized over later passes by
+                // `reclaim_step` and billed as reclamation time by the
+                // (deferred) rung models.
+                self.iso.rebuild_pool_deferred();
                 self.stats.pool_rebuilds += 1;
             }
             Some(RecoveryRung::WorkerRestart) => {

@@ -1,43 +1,36 @@
 //! Readiness-driven scheduling, observed from the outside: an idle
-//! event-driven runtime performs **zero** periodic connection polls
-//! (workers park; wake counters stay bounded by real events), the
-//! legacy polling scheduler demonstrably burns empty passes on the same
-//! scenario, idle workers steal queued requests from a loaded sibling,
-//! and the idle-connection reaper closes silent connections.
+//! runtime performs **zero** periodic connection polls (workers park;
+//! wake counters stay bounded by real events), idle workers steal
+//! queued requests from a loaded sibling, and the idle-connection
+//! reaper closes silent connections.
 
 use std::time::Duration;
 
 use sdrad::ClientId;
-use sdrad_runtime::{
-    ConnectionServer, IsolationMode, KvHandler, Runtime, RuntimeConfig, RuntimeStats, Scheduling,
-};
-
-/// Serve a little traffic, then hold the runtime open over an idle
-/// window long enough for a polling scheduler to tick hundreds of
-/// times.
-fn idle_window_run(scheduling: Scheduling) -> RuntimeStats {
-    let mut config = RuntimeConfig::new(2, IsolationMode::PerClientDomain);
-    config.scheduling = scheduling;
-    let server = ConnectionServer::start(config, |_| KvHandler::default());
-    let mut client = server.connect();
-    client.write(b"set k 2\r\nhi\r\nget k\r\n");
-    let response = server.await_response(&mut client, 2);
-    if scheduling == Scheduling::EventDriven {
-        assert_eq!(response, b"STORED\r\nVALUE k 2\r\nhi\r\nEND\r\n".to_vec());
-    }
-    // The idle window: the connection stays open, nobody writes.
-    std::thread::sleep(Duration::from_millis(50));
-    server.shutdown()
-}
+use sdrad_runtime::{ConnectionServer, IsolationMode, KvHandler, Runtime, RuntimeConfig};
 
 #[test]
 fn idle_event_driven_runtime_performs_zero_connection_polls() {
-    let stats = idle_window_run(Scheduling::EventDriven);
-    assert_eq!(
-        stats.polls(),
-        0,
-        "readiness scheduling must never poll an idle connection"
+    // Serve a little traffic, then hold the runtime open over an idle
+    // window long enough for a poll loop to tick hundreds of times.
+    let server = ConnectionServer::start(
+        RuntimeConfig::new(2, IsolationMode::PerClientDomain),
+        |_| KvHandler::default(),
     );
+    let mut client = server.connect();
+    client.write(b"set k 2\r\nhi\r\nget k\r\n");
+    let response = server.await_response(&mut client);
+    assert_eq!(response, b"STORED\r\nVALUE k 2\r\nhi\r\nEND\r\n".to_vec());
+    // The idle window: the connection stays open, nobody writes — and
+    // nothing wakes a worker.
+    let before = server.runtime().wakeups();
+    std::thread::sleep(Duration::from_millis(50));
+    assert_eq!(
+        server.runtime().wakeups(),
+        before,
+        "readiness scheduling must never wake for an idle connection"
+    );
+    let stats = server.shutdown();
     assert!(stats.parks() > 0, "workers parked through the idle window");
     // Wakeups are bounded by real events (adoption kick, readiness
     // edges of the two requests, stop) — not by wall-clock time. A
@@ -52,20 +45,6 @@ fn idle_event_driven_runtime_performs_zero_connection_polls() {
 }
 
 #[test]
-fn polling_runtime_burns_empty_polls_on_the_same_scenario() {
-    let stats = idle_window_run(Scheduling::Polling);
-    // 50 ms idle at a 200 µs cadence ⇒ ~250 ticks for the worker that
-    // owns the connection; leave a wide margin for scheduler noise.
-    assert!(
-        stats.polls() > 20,
-        "the polling baseline must visibly pay for idling: {} polls",
-        stats.polls()
-    );
-    assert_eq!(stats.ok(), 2, "same served traffic, different energy bill");
-    assert!(stats.reconciles());
-}
-
-#[test]
 fn idle_workers_steal_queued_requests_from_a_loaded_sibling() {
     // All load lands on one shard; with stealing enabled the other
     // worker must take part of it. Retry the (inherently racy) timing a
@@ -74,7 +53,7 @@ fn idle_workers_steal_queued_requests_from_a_loaded_sibling() {
     const SUBMITS: u64 = 4000;
     for attempt in 0..5 {
         let mut config = RuntimeConfig::new(2, IsolationMode::PerClientDomain);
-        config.work_stealing = sdrad_runtime::StealPolicy::Queue;
+        config.work_stealing = true;
         config.queue_capacity = usize::try_from(SUBMITS).unwrap();
         config.batch = 16;
         let runtime = Runtime::start(config, |_| KvHandler::default());
@@ -138,7 +117,7 @@ fn idle_connections_are_reaped_after_the_configured_passes() {
     // worker; the idler makes progress in none of them.
     for i in 0..8 {
         active.write(format!("set k{i} 2\r\nok\r\n").as_bytes());
-        assert_eq!(server.await_response(&mut active, 1), b"STORED\r\n");
+        assert_eq!(server.await_response(&mut active), b"STORED\r\n");
     }
 
     let stats = server.shutdown();
@@ -173,12 +152,12 @@ fn read_budget_interleaves_a_noisy_pipeliner_with_other_clients() {
     noisy.write(&pipeline);
     polite.write(b"stats\r\n");
 
-    let polite_bytes = server.await_response(&mut polite, 1);
+    let polite_bytes = server.await_response(&mut polite);
     assert!(
         !polite_bytes.is_empty(),
         "budget must prevent pipeline monopoly"
     );
-    let noisy_bytes = server.await_response(&mut noisy, 64);
+    let noisy_bytes = server.await_response(&mut noisy);
     assert_eq!(
         String::from_utf8_lossy(&noisy_bytes).matches("END").count(),
         64,
@@ -203,7 +182,7 @@ fn malformed_frame_past_the_budget_boundary_does_not_stall_the_connection() {
     let mut client = server.connect();
     client.write(b"get a\r\nget b\r\nBAD LINE !!\r\nget c\r\n");
 
-    let bytes = server.await_response(&mut client, 4);
+    let bytes = server.await_response(&mut client);
     assert_eq!(
         bytes,
         b"END\r\nEND\r\nERROR\r\nEND\r\n".to_vec(),

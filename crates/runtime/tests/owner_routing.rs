@@ -1,4 +1,4 @@
-//! Deep work stealing under a shard-stateful handler: connection-buffer
+//! Work stealing under a shard-stateful handler: connection-buffer
 //! frames move to idle thieves, but **state never mutates off its owner
 //! shard** — read-only frames execute on the thief, mutations come home
 //! as owner-routed submissions, and pipelined responses stay in frame
@@ -10,7 +10,7 @@ use sdrad::ClientId;
 use sdrad_net::{duplex, Endpoint};
 use sdrad_runtime::{
     Framing, IsolationMode, KvHandler, Reply, Runtime, RuntimeConfig, SessionHandler, StealClass,
-    StealPolicy, WorkerIsolation,
+    WorkerIsolation,
 };
 
 /// A `KvHandler` that records which worker executed every
@@ -100,7 +100,7 @@ fn state_never_mutates_on_a_thief_shard() {
     const FRAMES: usize = 64;
     let log: Arc<Mutex<Vec<(usize, u64)>>> = Arc::new(Mutex::new(Vec::new()));
     let mut config = RuntimeConfig::new(2, IsolationMode::PerClientDomain);
-    config.work_stealing = StealPolicy::Deep;
+    config.work_stealing = true;
     config.conn_read_budget = 2;
     let factory_log = Arc::clone(&log);
     let runtime = Runtime::start(config, move |worker| RecordingKv {
@@ -145,7 +145,7 @@ fn read_only_frames_are_stolen_off_connection_buffers() {
     // attempts; the books are checked on every one.
     for attempt in 0..5 {
         let mut config = RuntimeConfig::new(2, IsolationMode::PerClientDomain);
-        config.work_stealing = StealPolicy::Deep;
+        config.work_stealing = true;
         config.queue_capacity = 4096;
         config.batch = 16;
         config.conn_read_budget = 4;
@@ -196,7 +196,7 @@ fn mutations_are_routed_home_when_a_thief_meets_them() {
     // it happens.
     for attempt in 0..5 {
         let mut config = RuntimeConfig::new(2, IsolationMode::PerClientDomain);
-        config.work_stealing = StealPolicy::Deep;
+        config.work_stealing = true;
         config.queue_capacity = 4096;
         config.batch = 16;
         config.conn_read_budget = 4;
@@ -242,7 +242,7 @@ fn consecutive_mutations_travel_home_in_one_batch() {
     // on every attempt.
     for attempt in 0..8 {
         let mut config = RuntimeConfig::new(2, IsolationMode::PerClientDomain);
-        config.work_stealing = StealPolicy::Deep;
+        config.work_stealing = true;
         config.queue_capacity = 4096;
         config.batch = 16;
         config.conn_read_budget = 4;
@@ -299,22 +299,4 @@ fn consecutive_mutations_travel_home_in_one_batch() {
         );
     }
     panic!("the batched hand-off path never engaged across attempts");
-}
-
-#[test]
-fn queue_policy_never_touches_connection_buffers() {
-    let mut config = RuntimeConfig::new(2, IsolationMode::PerClientDomain);
-    config.work_stealing = StealPolicy::Queue;
-    config.conn_read_budget = 2;
-    let runtime = Runtime::start(config, |_| KvHandler::default());
-    let mut conns = attach_hot_pipelines(&runtime, 3, 32);
-    assert!(runtime.quiesce());
-    for (client, expected) in &mut conns {
-        assert_eq!(client.read_available(), *expected);
-    }
-    let stats = runtime.shutdown();
-    assert_eq!(stats.served(), 3 * 32);
-    assert_eq!(stats.conn_steals(), 0, "queue policy lifts no frames");
-    assert_eq!(stats.owner_routed(), 0);
-    assert!(stats.reconciles());
 }

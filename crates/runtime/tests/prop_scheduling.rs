@@ -1,9 +1,9 @@
-//! Property: readiness scheduling, work stealing (queue-only *and*
-//! connection-buffer) and read budgets never bend the conservation
-//! laws.
+//! Property: readiness scheduling, work stealing (queue items *and*
+//! connection-buffer frames) and read budgets never bend the
+//! conservation laws.
 //!
-//! For **any** client mix, queue bound, worker count, steal policy and
-//! per-connection read budget:
+//! For **any** client mix, queue bound, worker count, stealing on or
+//! off and per-connection read budget:
 //!
 //! * every offered request is either served or shed — `served + shed ==
 //!   offered`, over both the submit path and the connection path;
@@ -17,30 +17,17 @@
 //!   worker (owner or thief) serves each frame — stolen reads and
 //!   owner-routed mutations must interleave back into the exact
 //!   pipelined response sequence;
-//! * under [`StealPolicy::Deep`] no shard-state mutation ever executes
-//!   on a thief (`thief_mutations == 0`).
-//!
-//! [`StealPolicy::Deep`]: sdrad_runtime::StealPolicy::Deep
+//! * no shard-state mutation ever executes on a thief
+//!   (`thief_mutations == 0`).
 
 use proptest::prelude::*;
 use sdrad::ClientId;
-use sdrad_runtime::{
-    ConnectionServer, IsolationMode, KvHandler, RuntimeConfig, Scheduling, StealPolicy,
-    SubmitOutcome,
-};
+use sdrad_runtime::{ConnectionServer, IsolationMode, KvHandler, RuntimeConfig, SubmitOutcome};
 
 /// One offered request: which client, and whether it is an exploit
 /// (~10% of traffic).
 fn arb_offer() -> impl Strategy<Value = (u64, bool)> {
     (0u64..24, 0u32..10).prop_map(|(client, roll)| (client, roll == 0))
-}
-
-fn arb_policy() -> impl Strategy<Value = StealPolicy> {
-    prop_oneof![
-        Just(StealPolicy::Disabled),
-        Just(StealPolicy::Queue),
-        Just(StealPolicy::Deep),
-    ]
 }
 
 proptest! {
@@ -50,20 +37,19 @@ proptest! {
         conn_loads in proptest::collection::vec(1usize..6, 0..4),
         capacity in 1usize..48,
         workers in 1usize..5,
-        policy in arb_policy(),
+        work_stealing in any::<bool>(),
         budget in 1usize..8,
     ) {
         let mut config = RuntimeConfig::new(workers, IsolationMode::PerClientDomain);
         config.queue_capacity = capacity;
-        config.work_stealing = policy;
+        config.work_stealing = work_stealing;
         config.conn_read_budget = budget;
-        config.scheduling = Scheduling::EventDriven;
         let server = ConnectionServer::start(config, |_| KvHandler::default());
         let runtime = server.runtime();
 
         // Connection path: each connection pipelines its whole load in
         // one write (the budget must slice it without losing any, and
-        // deep stealing must not reorder it). Reads hit keys nothing
+        // stealing must not reorder it). Reads hit keys nothing
         // ever sets, writes use keys unique per connection, so the
         // expected response bytes are exact whoever serves each frame.
         let mut conns = Vec::new();
@@ -88,7 +74,7 @@ proptest! {
 
         // Submit path: accepted ⇒ ticketed, saturated ⇒ shed. Mixed
         // reads and mutations so queue stealing has both classes to
-        // meet under every policy.
+        // meet.
         let mut tickets = Vec::new();
         let mut shed_at_submit = 0u64;
         for (i, (client, attack)) in offers.iter().enumerate() {
@@ -133,26 +119,16 @@ proptest! {
             );
         }
 
-        // Policy-specific books.
-        match policy {
-            StealPolicy::Disabled => {
-                prop_assert_eq!(stats.steals(), 0);
-                prop_assert_eq!(stats.conn_steals(), 0);
-                prop_assert_eq!(stats.owner_routed(), 0);
-            }
-            StealPolicy::Queue => {
-                prop_assert_eq!(stats.conn_steals(), 0, "queue policy never lifts frames");
-                prop_assert_eq!(stats.owner_routed(), 0);
-            }
-            StealPolicy::Deep => {
-                // The whole point: stealing, however deep, never runs a
-                // mutation off its owner shard.
-                prop_assert_eq!(stats.thief_mutations(), 0);
-            }
+        if !work_stealing {
+            prop_assert_eq!(stats.steals(), 0);
+            prop_assert_eq!(stats.conn_steals(), 0);
+            prop_assert_eq!(stats.owner_routed(), 0);
         }
+        // The whole point: stealing, however deep, never runs a mutation
+        // off its owner shard.
+        prop_assert_eq!(stats.thief_mutations(), 0);
 
         // Stolen work balanced, histograms per-request, managers agree.
-        prop_assert!(stats.polls() == 0, "event-driven runs never poll");
         prop_assert!(stats.reconciles());
     }
 }

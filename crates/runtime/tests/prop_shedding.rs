@@ -14,7 +14,7 @@
 use proptest::prelude::*;
 use sdrad::ClientId;
 use sdrad_net::{duplex, Endpoint};
-use sdrad_runtime::{IsolationMode, KvHandler, Runtime, RuntimeConfig, StealPolicy, SubmitOutcome};
+use sdrad_runtime::{IsolationMode, KvHandler, Runtime, RuntimeConfig, SubmitOutcome};
 
 /// One offered request: which client, and whether it is an exploit
 /// (~10% of traffic).
@@ -89,7 +89,7 @@ proptest! {
         capacity in 1usize..5,
     ) {
         let mut config = RuntimeConfig::new(2, IsolationMode::PerClientDomain);
-        config.work_stealing = StealPolicy::Deep;
+        config.work_stealing = true;
         config.queue_capacity = capacity;
         config.batch = 4;
         config.conn_read_budget = 2;

@@ -161,8 +161,8 @@ fn tls_campaign_over_real_connections() {
     victim.write(&heartbeat(4, b"ping"));
     victim.write(&app_data(b"hello"));
 
-    let attacker_bytes = server.await_response(&mut attacker, 1);
-    let victim_bytes = server.await_response(&mut victim, 2);
+    let attacker_bytes = server.await_response(&mut attacker);
+    let victim_bytes = server.await_response(&mut victim);
 
     let stats = server.shutdown();
     assert_eq!(stats.connections(), 2);

@@ -7,8 +7,8 @@
 use sdrad::ClientId;
 use sdrad_net::{duplex, Endpoint};
 use sdrad_runtime::{
-    ControlConfig, IsolationMode, KvHandler, LadderParams, RebuildMode, ReputationParams, Runtime,
-    RuntimeConfig, RuntimeStats, StealPolicy, SubmitOutcome,
+    ControlConfig, IsolationMode, KvHandler, LadderParams, ReputationParams, Runtime,
+    RuntimeConfig, RuntimeStats, ShedParams, SubmitOutcome,
 };
 
 const ATTACK: &[u8] = b"xstat 65536 4\r\nboom\r\n";
@@ -16,7 +16,10 @@ const ATTACK: &[u8] = b"xstat 65536 4\r\nboom\r\n";
 /// Control tuned so the offender is never throttled, quarantined or
 /// banned: every attack lands on its sticky shard, and each
 /// `pool_after` consecutive faults climbs the ladder to a pool rebuild
-/// right where the benign traffic lives.
+/// right where the benign traffic lives. Benign CoDel shedding is
+/// switched off: it reads wall-clock sojourn, so a loaded host would
+/// refuse the benign backlog the campaign asserts is admitted
+/// (shedding has its own coverage in `prop_shedding`).
 fn rebuild_happy_control() -> ControlConfig {
     ControlConfig {
         reputation: ReputationParams {
@@ -33,14 +36,17 @@ fn rebuild_happy_control() -> ControlConfig {
             // the deferred books early and hide the hazard path.
             restart_after_rebuilds: 1_000_000,
         },
+        benign_shed: ShedParams {
+            target_ns: u64::MAX,
+            ..ShedParams::default()
+        },
         ..ControlConfig::default()
     }
 }
 
-fn config(rebuild: RebuildMode) -> RuntimeConfig {
+fn config() -> RuntimeConfig {
     let mut config = RuntimeConfig::new(2, IsolationMode::PerClientDomain);
-    config.work_stealing = StealPolicy::Deep;
-    config.rebuild = rebuild;
+    config.work_stealing = true;
     config.control = Some(rebuild_happy_control());
     config.queue_capacity = 4096;
     config.batch = 16;
@@ -52,8 +58,8 @@ fn config(rebuild: RebuildMode) -> RuntimeConfig {
 /// with an attack every 50 frames (each third consecutive fault is a
 /// pool rebuild), while get-only pipelines sit in shard 0's connection
 /// buffers for the idle sibling to lift. Returns the closed books.
-fn run_campaign(rebuild: RebuildMode) -> RuntimeStats {
-    let runtime = Runtime::start(config(rebuild), |_| KvHandler::default());
+fn run_campaign() -> RuntimeStats {
+    let runtime = Runtime::start(config(), |_| KvHandler::default());
     let shard0: Vec<ClientId> = (0u64..)
         .map(ClientId)
         .filter(|c| runtime.shard_of(*c) == 0)
@@ -108,7 +114,7 @@ fn deferred_rebuilds_never_pause_thief_reads_and_the_books_close() {
     // Steal engagement is inherently racy; the invariants are checked
     // on every attempt, the engagement criterion gets a few tries.
     for attempt in 0..8 {
-        let stats = run_campaign(RebuildMode::Deferred);
+        let stats = run_campaign();
 
         // The ladder climbed to the pool rung mid-campaign, and every
         // rebuild went down the deferred path: old pools were retired
@@ -131,7 +137,7 @@ fn deferred_rebuilds_never_pause_thief_reads_and_the_books_close() {
         let hazard = stats
             .hazard
             .as_ref()
-            .expect("deep stealing runs a hazard domain");
+            .expect("stealing runs a hazard domain");
         assert!(hazard.conserves(), "hazard books: {hazard:?}");
         assert_eq!(hazard.pending, 0, "no view leaked past shutdown");
         assert!(stats.views_published() > 0, "owners published read views");
@@ -149,55 +155,22 @@ fn deferred_rebuilds_never_pause_thief_reads_and_the_books_close() {
 }
 
 #[test]
-fn synchronous_rebuilds_balance_the_ledger_in_place() {
-    // The contrast rung: same storm, but every rebuild pays its modeled
-    // stop-the-world pause and tears the old pool down inside the
-    // serving path — the reclamation ledger books retire and reclaim in
-    // the same instant, so it is balanced at every point, never just at
-    // shutdown.
-    let stats = run_campaign(RebuildMode::Synchronous);
-    assert!(stats.pool_rebuilds() > 0, "pool rung engaged: {stats:?}");
-    assert!(
-        stats.domains_retired() > 0,
-        "rebuilds tore down live domains"
-    );
-    assert_eq!(
-        stats.domains_retired(),
-        stats.domains_reclaimed(),
-        "synchronous teardown books retire and reclaim together"
-    );
-    assert_eq!(stats.thief_mutations(), 0);
-    let hazard = stats
-        .hazard
-        .as_ref()
-        .expect("deep stealing runs a hazard domain");
-    assert!(hazard.conserves(), "hazard books: {hazard:?}");
-    assert_eq!(hazard.pending, 0);
-    assert!(stats.reconciles(), "books balance: {stats:?}");
-}
-
-#[test]
-fn queue_policy_runs_no_hazard_domain() {
-    // Without deep stealing there are no shared views to protect: the
+fn stealing_off_runs_no_hazard_domain() {
+    // Without stealing there are no shared views to protect: the
     // runtime must not spin up hazard machinery it cannot use.
-    let mut config = RuntimeConfig::new(2, IsolationMode::PerClientDomain);
-    config.work_stealing = StealPolicy::Queue;
-    let runtime = Runtime::start(config, |_| KvHandler::default());
+    let runtime = Runtime::start(
+        RuntimeConfig::new(2, IsolationMode::PerClientDomain),
+        |_| KvHandler::default(),
+    );
     let SubmitOutcome::Enqueued(ticket) = runtime.submit(ClientId(1), b"get k\r\n".to_vec()) else {
         panic!("empty runtime shed");
     };
     assert_eq!(ticket.wait().response, b"END\r\n");
     let stats = runtime.shutdown();
-    assert!(stats.hazard.is_none(), "hazard domain is deep-steal-only");
+    assert!(stats.hazard.is_none(), "hazard domain is stealing-only");
     assert_eq!(stats.shared_reads(), 0);
     assert_eq!(stats.views_published(), 0);
     assert!(stats.reconciles());
-}
-
-#[test]
-fn deferred_is_the_default_rebuild_mode() {
-    let config = RuntimeConfig::new(2, IsolationMode::PerClientDomain);
-    assert_eq!(config.rebuild, RebuildMode::Deferred);
 }
 
 mod schedules {
@@ -217,8 +190,6 @@ mod schedules {
         Serve(u64),
         /// The zero-pause rung: publish fresh, retire old.
         RebuildDeferred,
-        /// The stop-the-world rung: tear down in place.
-        RebuildSync,
         /// An amortized teardown pass with a small budget.
         ReclaimStep(usize),
         /// The restart rung: everything discarded, books closed.
@@ -229,7 +200,6 @@ mod schedules {
         prop_oneof![
             (0u64..4).prop_map(IsoOp::Serve),
             Just(IsoOp::RebuildDeferred),
-            Just(IsoOp::RebuildSync),
             (0usize..4).prop_map(IsoOp::ReclaimStep),
             Just(IsoOp::Restart),
         ]
@@ -253,7 +223,6 @@ mod schedules {
                         prop_assert!(served.is_ok(), "serving survives any schedule");
                     }
                     IsoOp::RebuildDeferred => iso.rebuild_pool_deferred(),
-                    IsoOp::RebuildSync => iso.rebuild_pool(),
                     IsoOp::ReclaimStep(budget) => {
                         iso.reclaim_step(budget);
                     }
@@ -263,10 +232,7 @@ mod schedules {
                     iso.pool_generation() >= generation,
                     "the pool generation never rolls back"
                 );
-                if matches!(
-                    op,
-                    IsoOp::RebuildDeferred | IsoOp::RebuildSync | IsoOp::Restart
-                ) {
+                if matches!(op, IsoOp::RebuildDeferred | IsoOp::Restart) {
                     prop_assert_eq!(
                         iso.pool_generation(),
                         generation + 1,

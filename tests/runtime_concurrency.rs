@@ -104,19 +104,19 @@ fn pool_rebuilds_race_deep_steals_and_every_ledger_closes() {
     // produces, responses stay complete and in frame order, mutations
     // stay on the owner, and the reclamation books reconcile exactly.
     use sdrad_repro::net::{duplex, Endpoint};
-    use sdrad_repro::runtime::{
-        ControlConfig, LadderParams, RebuildMode, ReputationParams, StealPolicy,
-    };
+    use sdrad_repro::runtime::{ControlConfig, LadderParams, ReputationParams, ShedParams};
 
     let mut config = RuntimeConfig::new(2, IsolationMode::PerClientDomain);
-    config.work_stealing = StealPolicy::Deep;
-    config.rebuild = RebuildMode::Deferred;
+    config.work_stealing = true;
     config.queue_capacity = 4096;
     config.batch = 16;
     config.conn_read_budget = 4;
     // Scores the offender can never reach: it is neither quarantined
     // nor banned, so every third consecutive fault rebuilds the pool
-    // right on the shard the thief is stealing from.
+    // right on the shard the thief is stealing from. Benign CoDel
+    // shedding is switched off: it reads wall-clock sojourn, so a loaded
+    // host would refuse the benign backlog this test asserts is
+    // admitted.
     config.control = Some(ControlConfig {
         reputation: ReputationParams {
             half_life_ns: 60_000_000_000,
@@ -129,6 +129,10 @@ fn pool_rebuilds_race_deep_steals_and_every_ledger_closes() {
         ladder: LadderParams {
             pool_after: 3,
             restart_after_rebuilds: 1_000_000,
+        },
+        benign_shed: ShedParams {
+            target_ns: u64::MAX,
+            ..ShedParams::default()
         },
         ..ControlConfig::default()
     });
